@@ -269,7 +269,8 @@ def _tasks(config: ScanConfig, done: dict[str, int] | None = None):
 
 
 def _prepare_tables(config: ScanConfig) -> None:
-    # Pre-build the shared factor table so forked workers inherit it.
+    # Pre-build the shared factor table once: forked workers inherit it, and
+    # a serial scan does not grow it by repeated full rebuilds.
     if not config.families:
         return
     nn = config.n_max * config.n_max
@@ -281,11 +282,11 @@ def _prepare_tables(config: ScanConfig) -> None:
 def iter_task_results(config: ScanConfig, done: dict[str, int] | None = None):
     """Yield (family, n, TableRow | RowError | None) in deterministic order."""
     tasks = list(_tasks(config, done))
+    _prepare_tables(config)
     if config.jobs == 1:
         for family, n in tasks:
             yield family, n, evaluate_task(family, n, config.filter)
         return
-    _prepare_tables(config)
     chunk = max(1, min(64, len(tasks) // (config.jobs * 8) or 1))
     with Pool(config.jobs, initializer=_init_worker, initargs=(config.filter,)) as pool:
         yield from pool.imap(_worker, tasks, chunksize=chunk)

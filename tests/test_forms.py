@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,6 +9,8 @@ from ugo.cfrac import fundamental_unit
 from ugo.forms import (
     BQF,
     ClassGroupStructure,
+    _class_data,
+    _ClassData,
     class_number,
     compose,
     enumerate_reduced,
@@ -233,6 +237,65 @@ def test_narrow_class_group_structures():
     assert narrow_class_group(68640).divisors == (2, 2, 2, 2, 2)
     assert narrow_class_group(5).divisors == ()
     assert narrow_class_group(-4).divisors == ()
+
+
+@pytest.mark.parametrize(
+    "delta, narrow, wide",
+    [
+        (22356, (3, 6), (3, 3)),
+        (28212, (3, 6), (3, 3)),
+        (4913**2 + 4, (3, 39), None),
+        (4964**2 + 4, (6, 30), None),
+        (-972, (3, 3), None),
+        (-1356, (3, 6), None),
+    ],
+)
+def test_non_cyclic_structures_with_odd_parts(delta, narrow, wide):
+    assert narrow_class_group(delta).divisors == narrow
+    if wide is not None:
+        assert wide_class_group(delta).divisors == wide
+
+
+def _orders_by_composition(cd, wide):
+    # Oracle: the order of each class by repeated composition, counted.
+    trivial = {cd.principal, cd.tau} if wide else {cd.principal}
+    reps = {min(i, cd.compose_ids(i, cd.tau)) if wide else i for i in range(cd.h_plus)}
+    counts = Counter()
+    for g in reps:
+        x, k = g, 1
+        while x not in trivial:
+            x, k = cd.compose_ids(x, g), k + 1
+        counts[k] += 1
+    return counts
+
+
+def _orders_of_chain(divisors):
+    counts = Counter()
+    for elt in itertools.product(*(range(d) for d in divisors)):
+        counts[math.lcm(*(d // math.gcd(d, e) for d, e in zip(divisors, elt)))] += 1
+    return counts
+
+
+def test_structure_matches_element_orders():
+    deltas = list(valid_discriminants(3000)) + [
+        d for d in range(-3000, -2) if d % 4 in (0, 1)
+    ]
+    for delta in deltas:
+        cd = _class_data(delta)
+        assert _orders_of_chain(cd.narrow_divisors()) == _orders_by_composition(cd, False), delta
+        assert _orders_of_chain(cd.wide_divisors()) == _orders_by_composition(cd, True), delta
+
+
+@pytest.mark.parametrize("delta, wide", [(-972, False), (68640, False), (22356, True)])
+def test_corrupted_composition_raises(delta, wide):
+    cd = _ClassData(delta)  # a private instance, outside the shared cache
+    x = next(
+        i for i in range(cd.h_plus)
+        if i not in (cd.principal, cd.tau) and i <= cd.compose_ids(i, cd.tau)
+    )
+    cd._compose_memo[(x, x)] = x  # claim x * x = x for a nontrivial class x
+    with pytest.raises(ArithmeticError):
+        cd.wide_divisors() if wide else cd.narrow_divisors()
 
 
 def test_wide_class_group_structures():
