@@ -1,15 +1,16 @@
 """Binary quadratic forms: reduction, rho-cycles, composition, class groups.
 
 For positive discriminants the narrow class group is materialized by
-enumerating all primitive reduced forms (a divisor sweep over the middle
-coefficient) and partitioning them into rho-cycles; the wide group is the
-quotient by the class of the negative principal form.  Group structure is
-read p-primary part by p-primary part from the kernel sizes of iterated
-p-th-power maps, O(h log h) compositions in all.
+enumerating all primitive reduced forms and partitioning them into
+rho-cycles; the wide group is the quotient by the class of the negative
+principal form.  Group structure is read p-primary part by p-primary part
+from the kernel sizes of iterated p-th-power maps, O(h log h) compositions
+in all.
 
-The enumeration factors (delta - b**2)/4 either through a shared
-smallest-prime-factor table (small discriminants) or through a per-
-discriminant quadratic-residue sieve (large ones); both paths are exact.
+The enumeration loops over the smaller outer coefficient d <= sqrt(delta)/2
+and solves b**2 = delta (mod 4d), building the square roots by CRT from
+roots modulo prime powers (Hensel lifting; Cohen, GTM 138, 1.5), so its
+cost follows the number of forms rather than the divisors of (delta - b**2)/4.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import cfrac
-from .intarith import factor, primes_up_to, spf_table, sqrt_mod_prime, xgcd
-
-_SPF_CAP = 1 << 23
+from .intarith import factor, spf_table, sqrt_mod_prime, xgcd
 
 NARROW = "narrow"
 WIDE = "wide"
@@ -225,122 +224,101 @@ class _ClassData:
     # -- enumeration -----------------------------------------------------
 
     def _positive_forms(self):
+        # Loop over the smaller outer coefficient d (Buchmann & Vollmer 2007,
+        # ch. 6).  With e = (delta - b*b) / (4d), the form (d, b, -e) is
+        # reduced with d <= e exactly when b*b = delta (mod 4d) and b lies in
+        # [max(1, w + 1 - 2d), isqrt(delta - 4d*d)].  That window holds at
+        # most 2d integers and the solutions b repeat mod 2d, so each root
+        # mod 2d gives at most one b.  d runs over odd parts m (roots mod m
+        # by CRT over prime powers, read off the SPF table) times 2**k.
         delta = self.delta
         w = self.w
-        b0 = 2 - (delta & 1)
-        if b0 > w:
-            return [], [], []
         support = [p for p, e in factor(delta).pairs if e >= 2]
-        nmax = (delta - b0 * b0) >> 2
-        if nmax <= _SPF_CAP:
-            fac_lists = self._factor_by_spf(b0, nmax)
-        else:
-            fac_lists = self._factor_by_qr_sieve(b0, nmax)
+        dmax = math.isqrt((delta - (2 - (delta & 1)) ** 2) >> 2)
+        spf = spf_table(dmax)[: dmax + 1].tolist()
+        # two[k]: the roots mod 2**(k+1) of x*x = delta (mod 2**(k+2)).
+        two = [(delta & 1,)]
+        while 1 << len(two) <= dmax:
+            step = 1 << len(two)
+            lifts = (x for r in two[-1] for x in (r, r + step))
+            two.append(tuple(x for x in lifts if (x * x - delta) % (step << 2) == 0))
+        big2 = 2 << (len(two) - 1)
+        # odd[m]: the roots mod m of x*x = delta (mod m), for odd m.
+        odd: list[tuple[int, ...]] = [()] * (dmax + 1)
         A: list[int] = []
         B: list[int] = []
         C: list[int] = []
         add_a = A.append
         add_b = B.append
         add_c = C.append
-        for b, n, fac in fac_lists:
-            divs = [1]
-            for p, e in fac:
-                pk = 1
-                more = []
-                for _ in range(e):
-                    pk *= p
-                    more.extend(d * pk for d in divs)
-                divs.extend(more)
-            for d in divs:
-                e2 = n // d
-                if d <= e2 and e2 - d < b:
-                    if support:
-                        ok = True
-                        for q in support:
-                            if b % q == 0 and d % q == 0 and e2 % q == 0:
-                                ok = False
-                                break
-                        if not ok:
-                            continue
-                    add_a(d)
-                    add_b(b)
-                    add_c(-e2)
-                    if d != e2:
-                        add_a(e2)
-                        add_b(b)
-                        add_c(-d)
-        return A, B, C
-
-    def _factor_by_spf(self, b0: int, nmax: int):
-        delta = self.delta
-        spf = spf_table(nmax)
-        out = []
-        for b in range(b0, self.w + 1, 2):
-            n = (delta - b * b) >> 2
-            if n <= 0:
-                continue
-            fac = []
-            m = n
-            while m > 1:
-                p = int(spf[m])
-                e = 1
-                m //= p
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                fac.append((p, e))
-            out.append((b, n, fac))
-        return out
-
-    def _factor_by_qr_sieve(self, b0: int, nmax: int):
-        delta = self.delta
-        bs = list(range(b0, self.w + 1, 2))
-        ns = [(delta - b * b) >> 2 for b in bs]
-        m_count = len(bs)
-        facs: list[list[tuple[int, int]]] = [[] for _ in range(m_count)]
-        for i in range(m_count):
-            n = ns[i]
-            if n <= 0:
-                continue
-            e = 0
-            while not n & 1:
-                n >>= 1
-                e += 1
-            if e:
-                facs[i].append((2, e))
-                ns[i] = n
-        for p in primes_up_to(math.isqrt(nmax))[1:]:
-            dm = delta % p
-            if dm == 0:
+        for m in range(1, dmax + 1, 2):
+            if m == 1:
                 roots: tuple[int, ...] = (0,)
             else:
-                r = sqrt_mod_prime(dm, p)
-                if r is None:
-                    continue
-                roots = (r, p - r)
-            inv2 = (p + 1) >> 1
-            for r in roots:
-                i0 = ((r - b0) * inv2) % p
-                for i in range(i0, m_count, p):
-                    n = ns[i]
-                    if n > 1 and n % p == 0:
-                        e = 1
-                        n //= p
-                        while n % p == 0:
-                            n //= p
-                            e += 1
-                        ns[i] = n
-                        facs[i].append((p, e))
-        out = []
-        for i in range(m_count):
-            n = (delta - bs[i] * bs[i]) >> 2
-            if n <= 0:
-                continue
-            if ns[i] > 1:
-                facs[i].append((ns[i], 1))
-            facs[i].sort()
-            out.append((bs[i], n, facs[i]))
-        return out
+                p = spf[m]
+                pe = p
+                while m // pe % p == 0:
+                    pe *= p
+                rest = m // pe
+                if rest > 1:
+                    ra = odd[rest]
+                    rb = odd[pe]
+                    if not ra or not rb:
+                        continue
+                    inv = pow(rest, -1, pe)
+                    roots = tuple(u + rest * ((v - u) * inv % pe) for u in ra for v in rb)
+                elif pe == p:
+                    r = sqrt_mod_prime(delta % p, p)
+                    if r is None:
+                        continue
+                    roots = (r, p - r) if r else (0,)
+                else:
+                    low = pe // p
+                    if delta % p:
+                        # Hensel: each root mod p**(e-1) has one lift.
+                        roots = tuple(
+                            (r - (r * r - delta) * pow(2 * r, -1, pe)) % pe for r in odd[low]
+                        )
+                    else:
+                        # p | delta and p*p <= dmax: try all p lifts.
+                        lifts = (x for r in odd[low] for x in range(r, pe, low))
+                        roots = tuple(x for x in lifts if (x * x - delta) % pe == 0)
+                    if not roots:
+                        continue
+                odd[m] = roots
+            inv = pow(m, -1, big2)
+            for k, rk in enumerate(two):
+                d = m << k
+                if d > dmax or not rk:
+                    break
+                m2 = 2 << k
+                two_d = d << 1
+                lo = w + 1 - two_d
+                if lo < 1:
+                    lo = 1
+                for t in rk:
+                    for u in roots:
+                        x = u + m * ((t - u) * inv % m2)
+                        b = lo + (x - lo) % two_d
+                        e = ((delta - b * b) >> 2) // d
+                        if e < d:
+                            continue
+                        if support:
+                            ok = True
+                            for q in support:
+                                if b % q == 0 and d % q == 0 and e % q == 0:
+                                    ok = False
+                                    break
+                            if not ok:
+                                continue
+                        add_a(d)
+                        add_b(b)
+                        add_c(-e)
+                        if d != e:
+                            add_a(e)
+                            add_b(b)
+                            add_c(-d)
+        return A, B, C
 
     # -- cycle partition -------------------------------------------------
 
@@ -548,13 +526,16 @@ class _ClassData:
     def cycle_of(self, oid: int) -> list[BQF]:
         if self.delta < 0:
             return [BQF(*self.pos_rep[oid])]
+        delta, w = self.delta, self.w
         start = BQF(*self.canon[oid])
         out = [start]
-        f = rho(start, self.delta)
-        while f != start:
-            out.append(f)
-            f = rho(f, self.delta)
-        return out
+        _, b, c = start
+        while True:
+            a = c
+            b, c = _rho_step(delta, w, b, c)
+            if a == start.a and b == start.b:
+                return out
+            out.append(BQF(a, b, c))
 
 
 @lru_cache(maxsize=64)

@@ -52,11 +52,10 @@ class Factorization:
 
 _prime_sieve_limit = 0
 _prime_list: list[int] = []
-_prime_set: set[int] = set()
 
 
 def _extend_primes(limit: int) -> None:
-    global _prime_sieve_limit, _prime_list, _prime_set
+    global _prime_sieve_limit, _prime_list
     if limit <= _prime_sieve_limit:
         return
     limit = max(limit, 1 << 10, 2 * _prime_sieve_limit)
@@ -66,7 +65,6 @@ def _extend_primes(limit: int) -> None:
         if mask[p]:
             mask[p * p :: p] = False
     _prime_list = [int(p) for p in np.nonzero(mask)[0]]
-    _prime_set = set(_prime_list)
     _prime_sieve_limit = limit
 
 
@@ -273,7 +271,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def sqrt_mod_prime(a: int, p: int) -> int | None:
     """A square root of a modulo prime p, or None if a is a non-residue."""
     a %= p

@@ -53,6 +53,7 @@ CSV_HEADER = (
 
 AUDIT_RATE = 0.01
 _CHECKPOINT_EVERY = 256
+_PREBUILT_MAX = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -268,21 +269,21 @@ def _tasks(config: ScanConfig, done: dict[str, int] | None = None):
             yield (family, n)
 
 
-def _prepare_tables(config: ScanConfig) -> None:
-    # Pre-build the shared factor table once: forked workers inherit it, and
-    # a serial scan does not grow it by repeated full rebuilds.
-    if not config.families:
-        return
-    nn = config.n_max * config.n_max
-    dmax = 4 * nn + 1 if CHOWLA in config.families else nn + 4
-    if dmax // 4 <= forms._SPF_CAP:
-        spf_table(max(dmax // 4, 1))
+def _prepare_tables(max_delta: int) -> None:
+    # Pre-build the smallest-prime-factor table that form enumeration reads
+    # (it covers outer coefficients up to sqrt(delta)/2) once: forked workers
+    # inherit it, and a serial run does not grow it by repeated rebuilds.
+    # The up-front build stops at _PREBUILT_MAX entries (32 MB): a scan whose
+    # top delta lies past 2**62, or past what enumeration can finish, must
+    # not allocate gigabytes before its first row.
+    spf_table(min(max(math.isqrt(max_delta) // 2, 1), _PREBUILT_MAX))
 
 
 def iter_task_results(config: ScanConfig, done: dict[str, int] | None = None):
     """Yield (family, n, TableRow | RowError | None) in deterministic order."""
     tasks = list(_tasks(config, done))
-    _prepare_tables(config)
+    nn = config.n_max * config.n_max
+    _prepare_tables(4 * nn + 1 if CHOWLA in config.families else nn + 4)
     if config.jobs == 1:
         for family, n in tasks:
             yield family, n, evaluate_task(family, n, config.filter)
@@ -505,13 +506,16 @@ def _conductor_chunk(bounds: tuple[int, int]):
 
 
 def _run_chunks(worker, lo: int, hi: int, jobs: int):
+    _prepare_tables(hi)
     step = max(1000, (hi - lo + 1) // (max(jobs, 1) * 16) + 1)
     chunks = [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
     if jobs <= 1:
         results = [worker(c) for c in chunks]
     else:
         with Pool(jobs) as pool:
-            results = pool.map(worker, chunks)
+            # One chunk per dispatch: chunk costs grow with delta, and
+            # batching them leaves the heaviest batch to run last.
+            results = pool.map(worker, chunks, chunksize=1)
     checked = sum(r[0] for r in results)
     failures: list[str] = []
     for r in results:
@@ -521,16 +525,12 @@ def _run_chunks(worker, lo: int, hi: int, jobs: int):
 
 def verify_parity(max_delta: int, jobs: int = 1) -> VerifyReport:
     """Predicates vs enumerated parities for all 0 < delta <= max_delta."""
-    if max_delta // 4 <= forms._SPF_CAP:
-        spf_table(max(max_delta // 4, 1))
     checked, failures = _run_chunks(_parity_chunk, 5, max_delta, jobs)
     return VerifyReport("parity", checked, failures)
 
 
 def verify_genus(max_delta: int, jobs: int = 1) -> VerifyReport:
     """2**(mu-1) = |Cl+[2]| by enumeration, and mu - 1 <= omega."""
-    if max_delta // 4 <= forms._SPF_CAP:
-        spf_table(max(max_delta // 4, 1))
     checked, failures = _run_chunks(_genus_chunk, 5, max_delta, jobs)
     return VerifyReport("genus", checked, failures)
 
@@ -538,8 +538,6 @@ def verify_genus(max_delta: int, jobs: int = 1) -> VerifyReport:
 def verify_conductor(max_delta: int, jobs: int = 1) -> VerifyReport:
     """Conductor-formula prediction vs enumeration for all non-maximal
     orders with delta <= max_delta."""
-    if max_delta // 4 <= forms._SPF_CAP:
-        spf_table(max(max_delta // 4, 1))
     checked, failures = _run_chunks(_conductor_chunk, 5, max_delta, jobs)
     return VerifyReport("conductor", checked, failures)
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -150,6 +151,41 @@ def test_enumerate_reduced_examples():
 def test_enumerate_reduced_against_brute_force():
     for delta in list(valid_discriminants(2000)) + [-3, -4, -15, -20, -23, -47, -71, -84]:
         assert set(enumerate_reduced(delta)) == brute_reduced(delta), delta
+
+
+def test_positive_forms_against_brute_force():
+    # A reduced form has |a| < sqrt(delta), so a <= w bounds the oracle's scan.
+    for delta in valid_discriminants(3999):
+        w = math.isqrt(delta)
+        want = set()
+        for b in range(1, w + 1):
+            for a in range(1, w + 1):
+                if (delta - b * b) % (4 * a) == 0:
+                    f = BQF(a, b, (b * b - delta) // (4 * a))
+                    if is_reduced(f, delta) and f.is_primitive():
+                        want.add(f)
+        # Enumerate without the cycle walk, which need not end on wrong forms.
+        A, B, C = _ClassData._positive_forms(SimpleNamespace(delta=delta, w=w))
+        got = set(map(BQF, A, B, C))
+        assert len(got) == len(A) and got == want, delta
+
+
+@pytest.mark.parametrize(
+    "delta,h_plus,n_forms",
+    [
+        (33553792, 4, 2968),  # 2**7 * 262139: 2-adic lifting
+        (16110900, 96, 1954),  # 2**2 * 3**6 * 5**2 * 13 * 17: ramified lifts
+        (215364996, 168, 5930),  # 2**2 * 3**2 * 7**2 * 11**2 * 1009
+        (99460725, 896, 3532),
+        (64016005, 576, 4390),  # 8001**2 + 4
+    ],
+)
+def test_positive_forms_pinned(delta, h_plus, n_forms):
+    cd = _ClassData(delta)
+    forms = list(zip(cd.forms_a, cd.forms_b, cd.forms_c))
+    assert cd.h_plus == h_plus and len(forms) == len(set(forms)) == n_forms
+    for f in forms:
+        assert is_reduced(BQF(*f), delta) and math.gcd(*f) == 1
 
 
 def test_every_reduced_form_in_exactly_one_cycle():
