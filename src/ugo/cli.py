@@ -79,18 +79,30 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _usage_error(command: str, message: object) -> int:
+    print(f"ugo {command}: error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_scan(args) -> int:
-    config = search.ScanConfig(
-        families=_families(args.family),
-        n_min=args.n_min,
-        n_max=args.n_max,
-        filter=args.filter,
-        jobs=args.jobs,
-        checkpoint_path=args.checkpoint,
-        output=args.out,
-        format=args.format,
-    )
-    result = search.scan_to_file(config)
+    try:
+        config = search.ScanConfig(
+            families=_families(args.family),
+            n_min=args.n_min,
+            n_max=args.n_max,
+            filter=args.filter,
+            jobs=args.jobs,
+            checkpoint_path=args.checkpoint,
+            output=args.out,
+            format=args.format,
+        )
+    except ValueError as exc:
+        return _usage_error("scan", exc)
+    try:
+        result = search.scan_to_file(config)
+    except search.CheckpointError as exc:
+        # Raised before any row is computed; errors from rows propagate.
+        return _usage_error("scan", exc)
     print(f"wrote {result.rows_written} rows to {config.output}")
     if result.errors:
         for err in result.errors[:10]:
@@ -160,13 +172,18 @@ _VERIFY_DEFAULT_BOUNDS = {
 
 def _cmd_verify(args) -> int:
     suite = args.suite
+    bound = args.max_delta
+    if bound is None:
+        bound = _VERIFY_DEFAULT_BOUNDS.get(suite)
+    elif bound < 5:
+        return _usage_error(
+            "verify", f"--max-delta {bound} is below 5, the smallest real discriminant"
+        )
     if suite == "cf":
         report = search.verify_cf(args.max_n)
     elif suite == "group-axioms":
-        bound = args.max_delta or _VERIFY_DEFAULT_BOUNDS[suite]
         report = search.verify_group_axioms(bound)
     else:
-        bound = args.max_delta or _VERIFY_DEFAULT_BOUNDS[suite]
         report = search.VERIFY_SUITES[suite](bound, jobs=args.jobs)
     status = "pass" if report.passed else "FAIL"
     print(f"{report.suite}: {status} ({report.checked} checks)")

@@ -11,6 +11,9 @@ The enumeration loops over the smaller outer coefficient d <= sqrt(delta)/2
 and solves b**2 = delta (mod 4d), building the square roots by CRT from
 roots modulo prime powers (Hensel lifting; Cohen, GTM 138, 1.5), so its
 cost follows the number of forms rather than the divisors of (delta - b**2)/4.
+
+`class_witness` needs no enumeration: one split prime form that reduces
+outside the principal (and tau) cycle proves the class group nontrivial.
 """
 
 from __future__ import annotations
@@ -187,6 +190,56 @@ def _compose_raw(f1: tuple[int, int, int], f2: tuple[int, int, int]) -> tuple[in
     l = (t * k - h) // s
     m = (t * u * k - h * u - s * c1) // st
     return st, w * u - (k * t + l * s), k * l - w * m
+
+
+# The primes below 100, tried in order by class_witness.  On the n**2 -+ 4
+# families with n <= 10**4 they certify every real order with h > 1.
+_WITNESS_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+    53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+)
+
+
+def class_witness(delta: int, *, square: bool, wide: bool) -> bool:
+    """True when a small split prime form proves the class group nontrivial.
+
+    For delta > 0, the prime form P = (p, b, (b*b - delta)/4p) of a split
+    prime p not dividing delta is primitive.  Two reduced forms are properly
+    equivalent exactly when they lie on one rho-cycle, so if P reduces
+    outside the principal cycle, the narrow class group is not trivial; with
+    `square`, P*P is reduced instead and the group is not 2-torsion.  With
+    `wide`, the cycle of the negative principal form tau is excluded as
+    well, and the certificate holds for the wide group, the narrow group
+    modulo tau.  False means no certificate was found, not that the group is
+    trivial (or 2-torsion).
+    """
+    w = math.isqrt(delta)
+    b1 = w if ((w ^ delta) & 1) == 0 else w - 1
+    c1 = (b1 * b1 - delta) >> 2
+    starts = [(1, b1, c1), (-1, b1, -c1)] if wide else [(1, b1, c1)]
+    seen: set[tuple[int, int]] = set()
+    for a, b, c in starts:
+        while (a, b) not in seen:
+            seen.add((a, b))
+            a, (b, c) = c, _rho_step(delta, w, b, c)
+    for p in _WITNESS_PRIMES:
+        if p == 2:
+            if delta & 7 != 1:
+                continue
+            b = 1
+        else:
+            b = sqrt_mod_prime(delta % p, p)
+            if not b:
+                continue
+            if (b ^ delta) & 1:
+                b = p - b
+        form = (p, b, (b * b - delta) // (4 * p))
+        if square:
+            form = _compose_raw(form, form)
+        a, b, _ = _reduce_indefinite(delta, w, *form)
+        if (a, b) not in seen:
+            return True
+    return False
 
 
 class _ClassData:

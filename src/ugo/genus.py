@@ -78,24 +78,31 @@ def genus_data(delta: int) -> GenusData:
     )
 
 
+def _check_positive(delta: int) -> None:
+    if delta <= 0 or not is_discriminant(delta):
+        raise ValueError(f"{delta} is not a positive quadratic discriminant")
+
+
+def _narrow_odd(delta: int, pairs) -> bool:
+    # The narrow-odd shapes, read off the factor pairs of delta.
+    if delta == 8:
+        return True
+    odd_part = [(p, e) for p, e in pairs if p != 2]
+    two_exp = next((e for p, e in pairs if p == 2), 0)
+    if len(odd_part) == 1 and two_exp in (0, 2):
+        p, r = odd_part[0]
+        return p % 4 == 1 and r % 2 == 1
+    return False
+
+
 def narrow_parity_predicate(delta: int) -> str:
     """Parity of the narrow class number, from the factorization alone.
 
     Odd exactly for delta in {p**r, 4*p**r} with p = 1 mod 4 and r odd, and
     for delta = 8.
     """
-    if delta <= 0 or not is_discriminant(delta):
-        raise ValueError(f"{delta} is not a positive quadratic discriminant")
-    if delta == 8:
-        return ODD
-    pairs = factor(delta).pairs
-    odd_part = [(p, e) for p, e in pairs if p != 2]
-    two_exp = next((e for p, e in pairs if p == 2), 0)
-    if len(odd_part) == 1 and two_exp in (0, 2):
-        p, r = odd_part[0]
-        if p % 4 == 1 and r % 2 == 1:
-            return ODD
-    return EVEN
+    _check_positive(delta)
+    return ODD if _narrow_odd(delta, factor(delta).pairs) else EVEN
 
 
 def wide_parity_predicate(delta: int) -> str:
@@ -106,9 +113,10 @@ def wide_parity_predicate(delta: int) -> str:
     16*p**r for any odd p; and the pure powers 2**(2k+1) >= 32 (whose class
     number is always one).
     """
-    if narrow_parity_predicate(delta) == ODD:
-        return ODD
+    _check_positive(delta)
     pairs = factor(delta).pairs
+    if _narrow_odd(delta, pairs):
+        return ODD
     odd_part = [(p, e) for p, e in pairs if p != 2]
     two_exp = next((e for p, e in pairs if p == 2), 0)
     if not odd_part:

@@ -6,9 +6,14 @@ task order and maintains a small human-readable checkpoint journal (per
 family, the largest n whose prefix is fully flushed, plus the byte offset),
 rewritten atomically, so interrupted scans resume to byte-identical output.
 
-Class-number-one scans prune by the wide parity predicate before any form
-enumeration; a deterministic 1% audit recomputes pruned rows in full and
-raises if the predicate ever disagrees with enumeration.
+Filtered scans of real orders reject most tasks before any form
+enumeration.  Class-number-one scans first prune by the wide parity
+predicate; a deterministic 1% audit recomputes pruned rows in full and
+raises if the predicate ever disagrees with enumeration.  The survivors then
+meet `forms.class_witness`: a split prime form outside the principal and tau
+cycles proves h > 1.  The two-torsion filters use the squared prime form, a
+proof that the group is not 2-torsion.  Only tasks without a witness are
+enumerated, so every emitted row comes from the full class data.
 """
 
 from __future__ import annotations
@@ -85,6 +90,10 @@ class ScanConfig:
     def fingerprint(self) -> str:
         key = repr((self.families, self.n_min, self.n_max, self.filter, self.format))
         return hashlib.sha256(key.encode()).hexdigest()[:16]
+
+
+class CheckpointError(ValueError):
+    """A checkpoint that cannot be resumed by this scan."""
 
 
 @dataclass(frozen=True)
@@ -231,10 +240,15 @@ def evaluate_task(family: str, n: int, flt: str):
                         "despite even prediction"
                     )
             return None
+        if forms.class_witness(delta, square=False, wide=True):
+            return None
         cd = _ClassData(delta)
         return _build_row(family, n, delta, cd) if cd.h == 1 else None
     if flt == FILTER_MAXIMAL and decompose(delta).conductor != 1:
         return None
+    if flt in (FILTER_TTW, FILTER_TTN) and delta > 0:
+        if forms.class_witness(delta, square=True, wide=flt == FILTER_TTW):
+            return None
     cd = _ClassData(delta)
     if flt == FILTER_H1:
         return _build_row(family, n, delta, cd) if cd.h == 1 else None
@@ -365,7 +379,7 @@ def scan_to_file(config: ScanConfig, _abort_after_rows: int | None = None) -> Sc
     if config.checkpoint_path and os.path.exists(config.checkpoint_path):
         journal = _read_journal(config.checkpoint_path)
         if journal.get("config") != config.fingerprint():
-            raise ValueError(
+            raise CheckpointError(
                 "checkpoint does not match this scan configuration; "
                 "remove it or change --checkpoint"
             )
@@ -376,7 +390,7 @@ def scan_to_file(config: ScanConfig, _abort_after_rows: int | None = None) -> Sc
     result = ScanResult(rows_written=rows_written)
     if resume_bytes is not None and os.path.exists(config.output):
         if os.path.getsize(config.output) < resume_bytes:
-            raise ValueError("checkpoint is ahead of the output file; remove both")
+            raise CheckpointError("checkpoint is ahead of the output file; remove both")
         out = open(config.output, "r+", encoding="utf-8", newline="\n")
         out.truncate(resume_bytes)
         out.seek(resume_bytes)

@@ -13,6 +13,7 @@ from ugo.forms import (
     _class_data,
     _ClassData,
     class_number,
+    class_witness,
     compose,
     enumerate_reduced,
     is_reduced,
@@ -202,6 +203,27 @@ def test_every_reduced_form_in_exactly_one_cycle():
         for part in parts:
             for f in part:
                 assert rho(f, delta) in part
+
+
+def test_class_witness_is_exact():
+    # A witness is a proof: for each (square, wide) variant it must imply,
+    # in order, h > 1, h+ > 1, a wide group and a narrow group that are not
+    # 2-torsion.  The firing counts pin how often the certificate is found.
+    variants = ((False, True), (False, False), (True, True), (True, False))
+    fired = [0, 0, 0, 0]
+    for delta in valid_discriminants(7999):
+        cd = _ClassData(delta)
+        truth = (
+            cd.h > 1,
+            cd.h_plus > 1,
+            not cd.is_two_torsion_wide(),
+            not cd.is_two_torsion_narrow(),
+        )
+        for k, (square, wide) in enumerate(variants):
+            if class_witness(delta, square=square, wide=wide):
+                assert truth[k], (delta, square, wide)
+                fired[k] += 1
+    assert fired == [2363, 3369, 797, 915]
 
 
 def test_narrow_class_numbers():

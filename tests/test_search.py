@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from ugo import search
+from ugo import cli, search
+from ugo.forms import class_witness
 from ugo.search import (
     CSV_HEADER,
     RowError,
@@ -93,6 +95,40 @@ def test_filter_soundness_recomputed_from_scratch():
                 assert cd.is_two_torsion_wide()
             else:
                 assert decompose(r.delta).conductor == 1
+
+
+def test_filtered_scans_equal_filtered_all_scan():
+    # The witness prune only rejects: every filtered scan must equal the
+    # `all` scan filtered by its property, row for row.
+    both = ScanConfig(families=("plus", "minus"), n_min=0, n_max=300)
+    rows = scan(both)
+    for flt, keep in (
+        ("class-number-one", lambda r: r.h == 1),
+        ("two-torsion-wide", lambda r: all(d == 2 for d in r.cl)),
+        ("two-torsion-narrow", lambda r: all(d == 2 for d in r.cl_plus)),
+    ):
+        assert scan(replace(both, filter=flt)) == [r for r in rows if keep(r)], flt
+    chowla = ScanConfig(families=("chowla",), n_min=0, n_max=200)
+    rows = scan(chowla)
+    assert scan(replace(chowla, filter="class-number-one")) == [r for r in rows if r.h == 1]
+
+
+# The real orders of class number one in both families, n <= 10**4.
+TABLE_1_REAL = {("plus", n) for n in (3, 4, 5, 6, 7, 9, 11, 21)} | {
+    ("minus", n) for n in (1, 2, 3, 4, 5, 7, 8, 11, 13, 17)
+}
+
+
+def test_class_witness_leaves_only_table_1():
+    survivors = {
+        (family, n)
+        for family in ("plus", "minus")
+        for n in range(10**4 + 1)
+        if (delta := family_discriminant(family, n)) is not None
+        and delta > 0
+        and not class_witness(delta, square=False, wide=True)
+    }
+    assert survivors == TABLE_1_REAL
 
 
 def test_classify_maximal_small():
@@ -201,9 +237,29 @@ def test_cli_inspect_exit_codes():
     assert obj["cl_plus"] == "4"
 
 
-def test_cli_usage_error_exit_code():
+def test_cli_usage_error_exit_code(tmp_path):
     assert run_cli("scan", "--family", "pluto", "--n-max", "5", "--out", "/tmp/x").returncode == 1
     assert run_cli("nonsense").returncode == 1
+    out = str(tmp_path / "scan.csv")
+    ckpt = str(tmp_path / "ckpt.txt")
+    assert run_cli("scan", "--n-max", "5", "--out", out, "--checkpoint", ckpt).returncode == 0
+    for args in (
+        ("--n-max", "5", "--jobs", "0"),
+        ("--n-min", "6", "--n-max", "5"),
+        ("--n-max", "6", "--checkpoint", ckpt),  # written for --n-max 5
+    ):
+        r = run_cli("scan", *args, "--out", out)
+        assert r.returncode == 1, args
+        assert "Traceback" not in r.stderr and "error" in r.stderr, args
+
+
+def test_cli_verify_max_delta_is_used(capsys):
+    assert cli.main(["verify", "parity", "--max-delta", "5"]) == 0
+    assert "(1 checks)" in capsys.readouterr().out
+    for suite in ("parity", "genus", "conductor", "group-axioms"):
+        for bound in ("0", "4"):
+            assert cli.main(["verify", suite, "--max-delta", bound]) == 1, (suite, bound)
+            assert "below 5" in capsys.readouterr().err
 
 
 def test_cli_scan_overflow_exit_code(tmp_path):
