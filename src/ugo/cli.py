@@ -100,7 +100,7 @@ def _cmd_scan(args) -> int:
         return _usage_error("scan", exc)
     try:
         result = search.scan_to_file(config)
-    except search.CheckpointError as exc:
+    except (search.CheckpointError, search.OutputError) as exc:
         # Raised before any row is computed; errors from rows propagate.
         return _usage_error("scan", exc)
     print(f"wrote {result.rows_written} rows to {config.output}")

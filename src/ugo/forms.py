@@ -193,7 +193,7 @@ def _compose_raw(f1: tuple[int, int, int], f2: tuple[int, int, int]) -> tuple[in
 
 
 # The primes below 100, tried in order by class_witness.  On the n**2 -+ 4
-# families with n <= 10**4 they certify every real order with h > 1.
+# families with n <= 10**5 they certify every real order with h > 1.
 _WITNESS_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97,

@@ -2,30 +2,19 @@
 
 The genus count mu(delta) depends only on the odd primes dividing the
 discriminant and its 2-adic congruence class; the parity predicates are pure
-pattern matches on the factorization, so they double as fast pre-filters for
-class-number-one scans.
+pattern matches on the factorization.  The `verify parity` suite checks them
+against enumerated class numbers, and `inspect` reports them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .forms import ClassGroupStructure, _class_data
-from .intarith import factor, omega
+from .intarith import factor
 from .orders import is_discriminant
 
 ODD = "odd"
 EVEN = "even"
 MUST_BE_EVEN = "must_be_even"
-
-
-@dataclass(frozen=True)
-class GenusData:
-    mu: int
-    genus_order: int
-    omega: int
-    two_torsion_wide: bool
-    two_torsion_narrow: bool
 
 
 def mu(delta: int) -> int:
@@ -65,17 +54,6 @@ def one_class_per_genus(delta: int) -> bool:
             f"genus order and 2-torsion test disagree at delta={delta}"
         )
     return by_squares
-
-
-def genus_data(delta: int) -> GenusData:
-    cd = _class_data(delta)
-    return GenusData(
-        mu=mu(delta),
-        genus_order=genus_group_order(delta),
-        omega=omega(abs(delta)),
-        two_torsion_wide=cd.is_two_torsion_wide(),
-        two_torsion_narrow=cd.is_two_torsion_narrow(),
-    )
 
 
 def _check_positive(delta: int) -> None:

@@ -102,11 +102,6 @@ class UnitGeneratedParam:
         return self.n * self.n - 4 if self.family == PLUS else self.n * self.n + 4
 
 
-def unit_generated_discriminant(param: UnitGeneratedParam) -> int:
-    """Discriminant n**2 - 4 (plus) or n**2 + 4 (minus)."""
-    return param.delta
-
-
 def classify_unit_generated(delta: int) -> tuple[UnitGeneratedParam, ...]:
     """All (family, n) whose discriminant equals delta; plus family first."""
     if not is_discriminant(delta):

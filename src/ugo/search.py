@@ -7,13 +7,12 @@ family, the largest n whose prefix is fully flushed, plus the byte offset),
 rewritten atomically, so interrupted scans resume to byte-identical output.
 
 Filtered scans of real orders reject most tasks before any form
-enumeration.  Class-number-one scans first prune by the wide parity
-predicate; a deterministic 1% audit recomputes pruned rows in full and
-raises if the predicate ever disagrees with enumeration.  The survivors then
-meet `forms.class_witness`: a split prime form outside the principal and tau
-cycles proves h > 1.  The two-torsion filters use the squared prime form, a
-proof that the group is not 2-torsion.  Only tasks without a witness are
-enumerated, so every emitted row comes from the full class data.
+enumeration.  The class-number-one and two-torsion filters first meet
+`forms.class_witness`: a split prime form outside the principal and tau
+cycles proves h > 1, and its square outside them proves the group is not
+2-torsion.  A witness is a proof, so nothing is sampled or re-checked; only
+tasks without one are enumerated, and every emitted row comes from the full
+class data.
 """
 
 from __future__ import annotations
@@ -28,11 +27,12 @@ from multiprocessing import Pool
 
 from . import cfrac, forms, genus, relations
 from .forms import _ClassData, _class_data
-from .genus import EVEN, ODD
-from .intarith import MAX_INPUT, spf_table
+from .genus import ODD
+from .intarith import MAX_INPUT, omega, spf_table
 from .orders import (
     MINUS,
     PLUS,
+    UnitGeneratedParam,
     decompose,
     classify_unit_generated,
     is_discriminant,
@@ -56,7 +56,6 @@ CSV_HEADER = (
     "mu,genus_order,maximal,rd_row,one_class_per_genus,two_torsion_wide"
 )
 
-AUDIT_RATE = 0.01
 _CHECKPOINT_EVERY = 256
 _PREBUILT_MAX = 1 << 23
 
@@ -94,6 +93,10 @@ class ScanConfig:
 
 class CheckpointError(ValueError):
     """A checkpoint that cannot be resumed by this scan."""
+
+
+class OutputError(ValueError):
+    """An output file that this scan cannot open."""
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,6 @@ class RowError:
 class ScanResult:
     rows_written: int
     errors: list[RowError] = field(default_factory=list)
-    aborted: bool = False
 
 
 def _chain(divisors: tuple[int, ...]) -> str:
@@ -167,18 +169,19 @@ def family_discriminant(family: str, n: int) -> int | None:
 
     The chowla family ranges over squarefree 4n**2+1 only.
     """
-    if family == PLUS:
-        return None if (n == 2 or n < 0) else n * n - 4
-    if family == MINUS:
-        return None if n < 1 else n * n + 4
-    if family == CHOWLA:
-        if n < 1:
+    if family in (PLUS, MINUS):
+        try:
+            return UnitGeneratedParam(family, n).delta
+        except ValueError:  # n = 2 (plus) or n < 1 (minus)
             return None
-        delta = 4 * n * n + 1
-        if delta > MAX_INPUT:
-            return delta  # range error reported downstream
-        return delta if decompose(delta).conductor == 1 else None
-    raise ValueError(f"unknown family {family!r}")
+    if family != CHOWLA:
+        raise ValueError(f"unknown family {family!r}")
+    if n < 1:
+        return None
+    delta = 4 * n * n + 1
+    if delta > MAX_INPUT:
+        return delta  # range error reported downstream
+    return delta if decompose(delta).conductor == 1 else None
 
 
 def _build_row(family: str, n: int, delta: int, cd: _ClassData) -> TableRow:
@@ -219,10 +222,6 @@ def _build_row(family: str, n: int, delta: int, cd: _ClassData) -> TableRow:
     )
 
 
-def _audit_pruned(family: str, n: int) -> bool:
-    return random.Random(f"{family}:{n}:audit").random() < AUDIT_RATE
-
-
 def evaluate_task(family: str, n: int, flt: str):
     """Decide one (family, n): returns a TableRow, a RowError, or None."""
     delta = family_discriminant(family, n)
@@ -230,24 +229,10 @@ def evaluate_task(family: str, n: int, flt: str):
         return None
     if abs(delta) > MAX_INPUT:
         return RowError(family, n, delta, "discriminant exceeds 2**62")
-    if flt == FILTER_H1 and delta > 0:
-        if genus.wide_parity_predicate(delta) == EVEN:
-            if _audit_pruned(family, n):
-                cd = _ClassData(delta)
-                if cd.h == 1:
-                    raise ArithmeticError(
-                        f"parity prune audit failed at delta={delta}: h=1 "
-                        "despite even prediction"
-                    )
-            return None
-        if forms.class_witness(delta, square=False, wide=True):
-            return None
-        cd = _ClassData(delta)
-        return _build_row(family, n, delta, cd) if cd.h == 1 else None
     if flt == FILTER_MAXIMAL and decompose(delta).conductor != 1:
         return None
-    if flt in (FILTER_TTW, FILTER_TTN) and delta > 0:
-        if forms.class_witness(delta, square=True, wide=flt == FILTER_TTW):
+    if flt in (FILTER_H1, FILTER_TTW, FILTER_TTN) and delta > 0:
+        if forms.class_witness(delta, square=flt != FILTER_H1, wide=flt != FILTER_TTN):
             return None
     cd = _ClassData(delta)
     if flt == FILTER_H1:
@@ -364,13 +349,8 @@ def _write_journal(path: str, config: ScanConfig, done: dict, nbytes: int, rows:
     os.replace(tmp, path)
 
 
-def scan_to_file(config: ScanConfig, _abort_after_rows: int | None = None) -> ScanResult:
-    """Scan and write delimited output, checkpointing as it goes.
-
-    `_abort_after_rows` is a test hook simulating an interrupt: the scan
-    stops mid-stream, potentially leaving the journal behind the output
-    file, exactly as a crash would.
-    """
+def scan_to_file(config: ScanConfig) -> ScanResult:
+    """Scan and write delimited output, checkpointing as it goes."""
     if not config.output:
         raise ValueError("scan_to_file requires an output path")
     done: dict[str, int] = {}
@@ -387,23 +367,24 @@ def scan_to_file(config: ScanConfig, _abort_after_rows: int | None = None) -> Sc
         resume_bytes = journal["bytes"]
         rows_written = journal.get("rows", 0)
 
+    resuming = resume_bytes is not None and os.path.exists(config.output)
+    if not resuming:
+        done, rows_written = {}, 0
+    elif os.path.getsize(config.output) < resume_bytes:
+        raise CheckpointError("checkpoint is ahead of the output file; remove both")
+    try:
+        out = open(config.output, "r+" if resuming else "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise OutputError(f"cannot open {config.output}: {exc.strerror}") from exc
     result = ScanResult(rows_written=rows_written)
-    if resume_bytes is not None and os.path.exists(config.output):
-        if os.path.getsize(config.output) < resume_bytes:
-            raise CheckpointError("checkpoint is ahead of the output file; remove both")
-        out = open(config.output, "r+", encoding="utf-8", newline="\n")
-        out.truncate(resume_bytes)
-        out.seek(resume_bytes)
-    else:
-        done = {}
-        result.rows_written = 0
-        out = open(config.output, "w", encoding="utf-8", newline="\n")
-        if config.format == "csv":
-            out.write(CSV_HEADER + "\n")
-
     fmt = TableRow.csv_line if config.format == "csv" else TableRow.json_line
     pending = 0
     try:
+        if resuming:
+            out.truncate(resume_bytes)
+            out.seek(resume_bytes)
+        elif config.format == "csv":
+            out.write(CSV_HEADER + "\n")
         last_task: tuple[str, int] | None = None
         for family, n, r in iter_task_results(config, done):
             last_task = (family, n)
@@ -414,9 +395,6 @@ def scan_to_file(config: ScanConfig, _abort_after_rows: int | None = None) -> Sc
             elif r is not None:
                 out.write(fmt(r) + "\n")
                 result.rows_written += 1
-                if _abort_after_rows is not None and result.rows_written >= _abort_after_rows:
-                    result.aborted = True
-                    return result
             if pending >= _CHECKPOINT_EVERY and config.checkpoint_path:
                 _advance_done(config, done, last_task)
                 out.flush()
@@ -502,7 +480,7 @@ def _genus_chunk(bounds: tuple[int, int]):
                 f"{cd.two_torsion_narrow_count()} vs {expected}"
             )
         for d in (delta, -delta):
-            if is_discriminant(d) and genus.mu(d) - 1 > genus.omega(abs(d)):
+            if is_discriminant(d) and genus.mu(d) - 1 > omega(abs(d)):
                 failures.append(f"mu-1 > omega at delta={d}")
     return checked, failures[:20]
 
@@ -558,8 +536,6 @@ def verify_conductor(max_delta: int, jobs: int = 1) -> VerifyReport:
 
 def verify_cf(max_n: int) -> VerifyReport:
     """Parametric continued fraction forms for both families up to max_n."""
-    from ugo.orders import UnitGeneratedParam
-
     checked = 0
     failures = []
     for n in range(3, max_n + 1):

@@ -15,7 +15,6 @@ from ugo.orders import (
     is_fundamental_discriminant,
     power_order,
     richaud_degert_classify,
-    unit_generated_discriminant,
 )
 
 
@@ -54,10 +53,10 @@ def test_decompose_roundtrip_exhaustive():
 
 
 def test_unit_generated_discriminant():
-    assert unit_generated_discriminant(UnitGeneratedParam("plus", 21)) == 437
-    assert unit_generated_discriminant(UnitGeneratedParam("minus", 8)) == 68
-    assert unit_generated_discriminant(UnitGeneratedParam("plus", 0)) == -4
-    assert unit_generated_discriminant(UnitGeneratedParam("plus", 1)) == -3
+    assert UnitGeneratedParam("plus", 21).delta == 437
+    assert UnitGeneratedParam("minus", 8).delta == 68
+    assert UnitGeneratedParam("plus", 0).delta == -4
+    assert UnitGeneratedParam("plus", 1).delta == -3
     with pytest.raises(ValueError):
         UnitGeneratedParam("plus", 2)
     with pytest.raises(ValueError):

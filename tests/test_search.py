@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +22,18 @@ from ugo.search import (
 )
 
 
+# The CLI subprocess imports the same ugo as the tests, installed or not.
+_CLI_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(search.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+    ),
+)
+
+
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "ugo.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "ugo.cli", *args], capture_output=True, text=True, env=_CLI_ENV
     )
 
 
@@ -113,7 +124,7 @@ def test_filtered_scans_equal_filtered_all_scan():
     assert scan(replace(chowla, filter="class-number-one")) == [r for r in rows if r.h == 1]
 
 
-# The real orders of class number one in both families, n <= 10**4.
+# The real orders of class number one in both families, n <= 10**5.
 TABLE_1_REAL = {("plus", n) for n in (3, 4, 5, 6, 7, 9, 11, 21)} | {
     ("minus", n) for n in (1, 2, 3, 4, 5, 7, 8, 11, 13, 17)
 }
@@ -123,7 +134,7 @@ def test_class_witness_leaves_only_table_1():
     survivors = {
         (family, n)
         for family in ("plus", "minus")
-        for n in range(10**4 + 1)
+        for n in range(10**5 + 1)
         if (delta := family_discriminant(family, n)) is not None
         and delta > 0
         and not class_witness(delta, square=False, wide=True)
@@ -165,7 +176,7 @@ def test_determinism_across_jobs(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_resume_produces_identical_output(tmp_path, monkeypatch):
+def test_resume_produces_identical_output(tmp_path, monkeypatch, crash_scan_after_rows):
     monkeypatch.setattr(search, "_CHECKPOINT_EVERY", 8)
     ref = tmp_path / "ref.csv"
     cfg_ref = ScanConfig(families=("plus", "minus"), n_min=0, n_max=150, output=str(ref))
@@ -177,21 +188,22 @@ def test_resume_produces_identical_output(tmp_path, monkeypatch):
         families=("plus", "minus"), n_min=0, n_max=150,
         output=str(out), checkpoint_path=str(ckpt),
     )
-    partial = scan_to_file(cfg, _abort_after_rows=97)
-    assert partial.aborted
+    with crash_scan_after_rows(97):
+        scan_to_file(cfg)
     assert ckpt.exists()
+    assert search._read_journal(str(ckpt))["bytes"] < out.stat().st_size
     assert out.read_bytes() != ref.read_bytes()
-    final = scan_to_file(cfg)
-    assert not final.aborted
+    scan_to_file(cfg)
     assert out.read_bytes() == ref.read_bytes()
 
 
-def test_resume_rejects_config_change(tmp_path, monkeypatch):
+def test_resume_rejects_config_change(tmp_path, monkeypatch, crash_scan_after_rows):
     monkeypatch.setattr(search, "_CHECKPOINT_EVERY", 4)
     out = tmp_path / "scan.csv"
     ckpt = tmp_path / "ckpt.txt"
     cfg = ScanConfig(families=("plus",), n_min=0, n_max=60, output=str(out), checkpoint_path=str(ckpt))
-    scan_to_file(cfg, _abort_after_rows=10)
+    with crash_scan_after_rows(10):
+        scan_to_file(cfg)
     assert ckpt.exists()
     with pytest.raises(ValueError):
         scan_to_file(
@@ -243,14 +255,18 @@ def test_cli_usage_error_exit_code(tmp_path):
     out = str(tmp_path / "scan.csv")
     ckpt = str(tmp_path / "ckpt.txt")
     assert run_cli("scan", "--n-max", "5", "--out", out, "--checkpoint", ckpt).returncode == 0
+    missing = str(tmp_path / "missing" / "scan.csv")
+    missing_ckpt = tmp_path / "missing-ckpt.txt"
     for args in (
-        ("--n-max", "5", "--jobs", "0"),
-        ("--n-min", "6", "--n-max", "5"),
-        ("--n-max", "6", "--checkpoint", ckpt),  # written for --n-max 5
+        ("--n-max", "5", "--jobs", "0", "--out", out),
+        ("--n-min", "6", "--n-max", "5", "--out", out),
+        ("--n-max", "6", "--checkpoint", ckpt, "--out", out),  # written for --n-max 5
+        ("--n-max", "5", "--checkpoint", str(missing_ckpt), "--out", missing),
     ):
-        r = run_cli("scan", *args, "--out", out)
+        r = run_cli("scan", *args)
         assert r.returncode == 1, args
         assert "Traceback" not in r.stderr and "error" in r.stderr, args
+    assert not missing_ckpt.exists()
 
 
 def test_cli_verify_max_delta_is_used(capsys):
