@@ -3,8 +3,11 @@
 Expansions come in two flavors: regular (floor steps) and minus /
 Hirzebruch-Jung (ceiling steps, x = a0 - 1/(a1 - 1/...)).  All state
 arithmetic is exact; periods are detected by the first repetition of the
-(P, Q) state and are therefore minimal.  Fundamental units are read off the
-convergent matrix accumulated over one full period.
+(P, Q) state and are therefore minimal.  Fundamental units come from one
+walk of the principal rho-cycle of reduced forms, the regular continued
+fraction of (b1 + sqrt(delta))/2 (Jacobson & Williams, *Solving the Pell
+Equation*, 2009, ch. 5), in memory linear in the size of the unit; its step
+`_rho_step` is the one that `forms` uses.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, cycle, islice
 
 from .intarith import squarefree_decomposition
 
@@ -75,12 +79,7 @@ class CFExpansion:
     period: tuple[int, ...]
 
     def terms(self, count: int) -> list[int]:
-        out = list(self.preperiod)
-        i = 0
-        while len(out) < count:
-            out.append(self.period[i % len(self.period)])
-            i += 1
-        return out[:count]
+        return list(islice(chain(self.preperiod, cycle(self.period)), count))
 
     def evaluate(self, count: int = 50) -> float:
         # Backward float evaluation; stable since tail terms are >= 1 (>= 2
@@ -171,46 +170,49 @@ def hj_cf_expand(x: QuadIrrational) -> CFExpansion:
     return _expand(x, minus=True)
 
 
+def _rho_step(delta: int, w: int, b: int, c: int) -> tuple[int, int, int]:
+    # Partial quotient s and new (b', c') for the successor form (c, b', c')
+    # of a reduced form with middle coefficient b; w = isqrt(delta).
+    m2 = abs(c) << 1
+    s = (w + b) // m2
+    nb = s * m2 - b
+    return s, nb, (nb * nb - delta) // (4 * c)
+
+
+def _principal_cycle(delta: int):
+    # Yield (a, b, s) for each form of the rho-cycle of (1, b1, ...), b1 the
+    # largest b <= sqrt(delta) with b = delta (mod 2), until the first form
+    # with |a| = 1: the principal form or, after an odd number of steps
+    # exactly when the unit has norm -1, tau = (-1, b1, ...).
+    w = math.isqrt(delta)
+    b = w if ((w ^ delta) & 1) == 0 else w - 1
+    a, c = 1, (b * b - delta) >> 2
+    while True:
+        s, nb, nc = _rho_step(delta, w, b, c)
+        yield a, b, s
+        a, b, c = c, nb, nc
+        if a == 1 or a == -1:
+            return
+
+
 @lru_cache(maxsize=4096)
 def fundamental_unit(delta: int) -> QuadUnit:
     """The smallest unit > 1 of the real quadratic order of discriminant delta.
 
-    Runs the regular continued fraction of (delta mod 2 + sqrt(delta))/2 with
-    convergent accumulation; the first state repetition yields the unit as a
-    fixed Moebius transformation, exactly.
+    The k partial quotients of the principal-cycle walk are one period of
+    w1 = (b1 + sqrt(delta))/2 after its leading b1, ending in b1 again.  With
+    Q_j the convergent denominators, the unit is Q_(k-1)*w1 + Q_(k-2) =
+    (2*Q_k - b1*Q_(k-1) + Q_(k-1)*sqrt(delta))/2, of norm (-1)**k; only two
+    denominators are kept.
     """
     _check_positive_discriminant(delta)
-    b0 = delta % 2
-    p, q, d = b0, 2, delta
-    r = math.isqrt(d)
-    # seen[state] = (index, p_{k-1}, p_{k-2}, q_{k-1}, q_{k-2})
-    seen: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-    pk1, pk2 = 1, 0
-    qk1, qk2 = 0, 1
-    while True:
-        state = (p, q)
-        if state in seen:
-            a1, a2, b1_, b2_ = seen[state]
-            # A = M_now * M_then^{-1}; bottom row (g, h) gives the unit g*w + h.
-            det = a1 * b2_ - a2 * b1_
-            g = det * (qk1 * b2_ - qk2 * b1_)
-            h = det * (-qk1 * a2 + qk2 * a1)
-            t = abs(g * b0 + 2 * h)
-            u = abs(g)
-            nrm4 = t * t - u * u * delta
-            if nrm4 == 4:
-                norm = 1
-            elif nrm4 == -4:
-                norm = -1
-            else:  # pragma: no cover - guarded by exactness of the recursion
-                raise ArithmeticError(f"unit recovery failed for delta={delta}")
-            return QuadUnit(t, u, delta, norm, log_embedding(t, u, delta))
-        seen[state] = (pk1, pk2, qk1, qk2)
-        a = (p + r) // q if q > 0 else -((p + r) // (-q)) - 1
-        pk1, pk2 = a * pk1 + pk2, pk1
-        qk1, qk2 = a * qk1 + qk2, qk1
-        p1 = a * q - p
-        p, q = p1, (d - p1 * p1) // q
+    q1, q0 = 1, 0
+    steps = 0
+    for _, _, s in _principal_cycle(delta):
+        q1, q0 = s * q1 + q0, q1
+        steps += 1
+    t, u = 2 * q1 - s * q0, q0  # s = b1, the last partial quotient
+    return QuadUnit(t, u, delta, -1 if steps & 1 else 1, log_embedding(t, u, delta))
 
 
 def regulator(delta: int) -> float:

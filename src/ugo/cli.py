@@ -155,10 +155,16 @@ def _cmd_inspect(args) -> int:
     except ValueError as exc:
         print(f"invalid discriminant: {exc}", file=sys.stderr)
         return EXIT_BAD_DISCRIMINANT
-    if args.json:
-        print(json.dumps(report))
-    else:
-        print(_format_inspect(report))
+    # Exact units outgrow the int-to-str digit limit (u has 8,703 digits at
+    # delta = 50004529); DELTA itself was parsed under the limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(json.dumps(report) if args.json else _format_inspect(report))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 

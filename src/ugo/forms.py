@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import cfrac
+from .cfrac import _principal_cycle, _rho_step
 from .intarith import factor, spf_table, sqrt_mod_prime, xgcd
 
 NARROW = "narrow"
@@ -99,14 +100,6 @@ def is_reduced(form: BQF, delta: int) -> bool:
     return b >= 0 or (abs(b) != a and a != c)
 
 
-def _rho_step(delta: int, w: int, b: int, c: int) -> tuple[int, int]:
-    # New (b', c') for the successor form (c, b', c') of a reduced form.
-    ca = c if c >= 0 else -c
-    m2 = ca << 1
-    nb = w - ((w + b) % m2)
-    return nb, (nb * nb - delta) // (4 * c)
-
-
 def rho(form: BQF, delta: int) -> BQF:
     """Cycle successor of a reduced indefinite form."""
     if delta <= 0:
@@ -114,7 +107,7 @@ def rho(form: BQF, delta: int) -> BQF:
     if not is_reduced(form, delta):
         raise ValueError(f"rho requires a reduced form, got {form}")
     w = math.isqrt(delta)
-    nb, nc = _rho_step(delta, w, form.b, form.c)
+    _, nb, nc = _rho_step(delta, w, form.b, form.c)
     return BQF(form.c, nb, nc)
 
 
@@ -211,17 +204,14 @@ def class_witness(delta: int, *, square: bool, wide: bool) -> bool:
     `wide`, the cycle of the negative principal form tau is excluded as
     well, and the certificate holds for the wide group, the narrow group
     modulo tau.  False means no certificate was found, not that the group is
-    trivial (or 2-torsion).
+    trivial (or 2-torsion).  Negation (a, b, c) -> (-a, b, -c) commutes with
+    rho and maps the principal form to tau, so the cycles come from one walk
+    to the first |a| = 1 (`cfrac._principal_cycle`) and its negation.
     """
     w = math.isqrt(delta)
-    b1 = w if ((w ^ delta) & 1) == 0 else w - 1
-    c1 = (b1 * b1 - delta) >> 2
-    starts = [(1, b1, c1), (-1, b1, -c1)] if wide else [(1, b1, c1)]
-    seen: set[tuple[int, int]] = set()
-    for a, b, c in starts:
-        while (a, b) not in seen:
-            seen.add((a, b))
-            a, (b, c) = c, _rho_step(delta, w, b, c)
+    seen = {(a, b) for a, b, _ in _principal_cycle(delta)}
+    if wide or len(seen) & 1:
+        seen.update([(-a, b) for a, b in seen])
     for p in _WITNESS_PRIMES:
         if p == 2:
             if delta & 7 != 1:
@@ -485,7 +475,7 @@ class _ClassData:
         if self.delta > 0:
             a, b, c = _reduce_indefinite(self.delta, self.w, a, b, c)
             if a < 0:
-                nb, nc = _rho_step(self.delta, self.w, b, c)
+                _, nb, nc = _rho_step(self.delta, self.w, b, c)
                 a, b, c = c, nb, nc
             return self.orbit[self.index[a * self.stride + b]]
         a, b, c = _reduce_definite(a, b, c)
@@ -585,7 +575,7 @@ class _ClassData:
         _, b, c = start
         while True:
             a = c
-            b, c = _rho_step(delta, w, b, c)
+            _, b, c = _rho_step(delta, w, b, c)
             if a == start.a and b == start.b:
                 return out
             out.append(BQF(a, b, c))

@@ -8,6 +8,7 @@ against enumerated class numbers, and `inspect` reports them.
 
 from __future__ import annotations
 
+from .cfrac import _check_positive_discriminant
 from .forms import ClassGroupStructure, _class_data
 from .intarith import factor
 from .orders import is_discriminant
@@ -56,11 +57,6 @@ def one_class_per_genus(delta: int) -> bool:
     return by_squares
 
 
-def _check_positive(delta: int) -> None:
-    if delta <= 0 or not is_discriminant(delta):
-        raise ValueError(f"{delta} is not a positive quadratic discriminant")
-
-
 def _narrow_odd(delta: int, pairs) -> bool:
     # The narrow-odd shapes, read off the factor pairs of delta.
     if delta == 8:
@@ -79,7 +75,7 @@ def narrow_parity_predicate(delta: int) -> str:
     Odd exactly for delta in {p**r, 4*p**r} with p = 1 mod 4 and r odd, and
     for delta = 8.
     """
-    _check_positive(delta)
+    _check_positive_discriminant(delta)
     return ODD if _narrow_odd(delta, factor(delta).pairs) else EVEN
 
 
@@ -91,7 +87,7 @@ def wide_parity_predicate(delta: int) -> str:
     16*p**r for any odd p; and the pure powers 2**(2k+1) >= 32 (whose class
     number is always one).
     """
-    _check_positive(delta)
+    _check_positive_discriminant(delta)
     pairs = factor(delta).pairs
     if _narrow_odd(delta, pairs):
         return ODD

@@ -134,10 +134,7 @@ def power_order(delta0: int, j: int) -> int:
     if j < 1:
         raise ValueError("power must be >= 1")
     eps = cfrac.fundamental_unit(delta0)
-    t, u = eps.t, eps.u
-    tj, uj = 2, 0
-    for _ in range(j):
-        tj, uj = (t * tj + delta0 * u * uj) // 2, (t * uj + u * tj) // 2
+    _, uj = cfrac._unit_pow(eps.t, eps.u, delta0, j)
     return uj * uj * delta0
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -148,6 +150,42 @@ def test_fundamental_unit_minimality_certificate():
         if delta % 4 in (0, 1) and math.isqrt(delta) ** 2 != delta:
             eps = fundamental_unit(delta)
             assert_unit_is_fundamental(delta, eps.t, eps.u)
+
+
+def test_fundamental_unit_digest_to_2e4():
+    # One sha256 over "delta,t,u,norm,regulator" lines for all 9,859
+    # discriminants in [5, 2*10**4].  The digest was taken from a
+    # state-repetition implementation that shares no code with the walk.
+    lines = [
+        f"{d},{e.t},{e.u},{e.norm},{e.regulator:.12g}"
+        for d in range(5, 2 * 10**4 + 1)
+        if d % 4 in (0, 1) and math.isqrt(d) ** 2 != d
+        for e in [fundamental_unit(d)]
+    ]
+    assert len(lines) == 9859
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "894cda4f844a74ac49c5625cdd46062c7b24e17a83d55032729f606f72fdccce"
+
+
+def test_fundamental_unit_large_pins():
+    eps = fundamental_unit(10**11 + 1)
+    assert (eps.u.bit_length(), eps.norm, f"{eps.regulator:.12g}") == (89647, 1, "62150.6048374")
+    digest = hashlib.sha256(f"{eps.t:x},{eps.u:x}".encode()).hexdigest()
+    assert digest.startswith("9be2f45fc172ebbc")
+    eps = fundamental_unit(50004529)
+    assert (eps.norm, f"{eps.regulator:.12g}") == (-1, "20047.8932271")
+
+
+def test_fundamental_unit_memory_is_linear():
+    # The walk keeps two convergent denominators, so its peak is a few copies
+    # of the 89,647-bit unit (about 0.2 MB), not convergents for every state.
+    tracemalloc.start()
+    try:
+        fundamental_unit.__wrapped__(10**11 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_fundamental_unit_invalid():

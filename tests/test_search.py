@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -247,6 +248,33 @@ def test_cli_inspect_exit_codes():
     assert out.returncode == 0
     obj = json.loads(out.stdout)
     assert obj["cl_plus"] == "4"
+
+
+def _parse_int(text):
+    # int() of a decimal string past the interpreter's int-from-str limit.
+    if len(text) <= 4000:
+        return int(text)
+    return _parse_int(text[:-4000]) * 10**4000 + int(text[-4000:])
+
+
+def test_cli_inspect_prints_large_units(capsys):
+    # u has 8,703 decimal digits here, past the default int-to-str limit,
+    # which inspect lifts only while it prints.
+    delta = 50004529
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert cli.main(["inspect", str(delta), "--json"]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    capsys.readouterr()
+    out = run_cli("inspect", str(delta), "--json")
+    assert out.returncode == 0, out.stderr
+    unit = json.loads(out.stdout, parse_int=_parse_int)["unit"]
+    t, u = unit["t"], unit["u"]
+    assert t * t - u * u * delta == -4
+    out = run_cli("inspect", str(delta))
+    assert out.returncode == 0, out.stderr
+    t, u = re.search(r"fund\. unit +\((\d+) \+ (\d+)\*sqrt", out.stdout).groups()
+    t, u = _parse_int(t), _parse_int(u)
+    assert t * t - u * u * delta == -4
 
 
 def test_cli_usage_error_exit_code(tmp_path):
