@@ -185,6 +185,10 @@ def _cmd_verify(args) -> int:
         return _usage_error(
             "verify", f"--max-delta {bound} is below 5, the smallest real discriminant"
         )
+    if args.max_n < 1:
+        return _usage_error("verify", f"--max-n {args.max_n} is below 1")
+    if args.jobs < 1:
+        return _usage_error("verify", f"--jobs {args.jobs} is below 1")
     if suite == "cf":
         report = search.verify_cf(args.max_n)
     elif suite == "group-axioms":

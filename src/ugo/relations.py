@@ -1,16 +1,19 @@
 """Cross-order relations: the conductor class-number formula and trend stats.
 
 The conductor formula predicts h(f**2*delta0) from h(delta0), an exact local
-factor built from Kronecker symbols, and the unit index; comparing the
-prediction against direct cycle enumeration is the strongest inter-module
-consistency gate in the package.
+factor built from Kronecker symbols, and the unit index (Cox, *Primes of the
+form x^2 + ny^2*, Thm 7.24).  `predicted_class_number` is its one
+implementation: `class_number_via_conductor` calls it on validated input, and
+the `verify conductor` suite calls it once per conductor with h(delta0) built
+once per fundamental discriminant.  Comparing the prediction against direct
+cycle enumeration is the strongest inter-module consistency gate in the
+package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import cfrac, forms
 from .intarith import factor, kronecker_symbol
@@ -54,14 +57,30 @@ def class_number_via_conductor(delta0: int, f: int) -> ConductorFormulaReport:
     if delta > 1 << 62:
         raise OverflowError(f"discriminant {delta} exceeds 2**62")
     h0 = forms.class_number(delta0)
-    local = local_unit_group_factor(delta0, f)
-    index = cfrac.unit_index(delta0, delta)
-    h_pred = Fraction(h0 * local, index)
-    if h_pred.denominator != 1:
+    return ConductorFormulaReport(
+        delta0,
+        f,
+        h0,
+        local_unit_group_factor(delta0, f),
+        cfrac.unit_index(delta0, delta),
+        predicted_class_number(delta0, f, h0),
+    )
+
+
+def predicted_class_number(delta0: int, f: int, h0: int) -> int:
+    """h(f**2*delta0) = h0 * local factor / unit index, for h0 = h(delta0).
+
+    The caller guarantees that delta0 is a positive fundamental discriminant
+    and f >= 1; a quotient that is not an integer raises ArithmeticError.
+    """
+    h, rem = divmod(
+        h0 * local_unit_group_factor(delta0, f), cfrac.unit_index(delta0, f * f * delta0)
+    )
+    if rem:
         raise ArithmeticError(
             f"conductor formula gave a non-integer at delta0={delta0}, f={f}"
         )
-    return ConductorFormulaReport(delta0, f, h0, local, index, int(h_pred))
+    return h
 
 
 def verify_conductor_formula(delta: int) -> bool:

@@ -13,17 +13,26 @@ cycles proves h > 1, and its square outside them proves the group is not
 2-torsion.  A witness is a proof, so nothing is sampled or re-checked; only
 tasks without one are enumerated, and every emitted row comes from the full
 class data.
+
+The verification suites split their range into chunks for one shared pool
+and merge path.  The parity and genus suites take equal ranges of delta.
+The conductor suite walks fundamental delta0 and then every conductor f >= 2,
+so each h(delta0) is built once, in chunks of equal steps of sqrt(delta0).
+Workers return failures as (delta, message), and every suite reports the 20
+smallest failing delta in ascending order, whatever the chunking.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import logging
 import math
 import os
 import random
 from dataclasses import dataclass, field, replace
 from multiprocessing import Pool
+from operator import itemgetter
 
 from . import cfrac, forms, genus, relations
 from .forms import _ClassData, _class_data
@@ -36,6 +45,7 @@ from .orders import (
     decompose,
     classify_unit_generated,
     is_discriminant,
+    is_fundamental_discriminant,
     richaud_degert_classify,
 )
 
@@ -57,6 +67,7 @@ CSV_HEADER = (
 )
 
 _CHECKPOINT_EVERY = 256
+_MAX_FAILURES = 20
 _PREBUILT_MAX = 1 << 23
 
 
@@ -447,6 +458,12 @@ def _valid_deltas(lo: int, hi: int):
             yield delta
 
 
+def _smallest_failures(failures):
+    # (delta, message) pairs: the _MAX_FAILURES smallest delta, in ascending
+    # order; messages at one delta keep the order they were found in.
+    return heapq.nsmallest(_MAX_FAILURES, failures, key=itemgetter(0))
+
+
 def _parity_chunk(bounds: tuple[int, int]):
     checked = 0
     failures = []
@@ -456,15 +473,15 @@ def _parity_chunk(bounds: tuple[int, int]):
         narrow_pred = genus.narrow_parity_predicate(delta)
         wide_pred = genus.wide_parity_predicate(delta)
         if (cd.h_plus % 2 == 1) != (narrow_pred == ODD):
-            failures.append(f"narrow parity wrong at delta={delta} (h+={cd.h_plus})")
+            failures.append((delta, f"narrow parity wrong at delta={delta} (h+={cd.h_plus})"))
         if (cd.h % 2 == 1) != (wide_pred == ODD):
-            failures.append(f"wide parity wrong at delta={delta} (h={cd.h})")
+            failures.append((delta, f"wide parity wrong at delta={delta} (h={cd.h})"))
         norm = cfrac.fundamental_unit(delta).norm
         if (cd.h_plus == cd.h) != (norm == -1):
-            failures.append(f"h+/h ratio disagrees with unit norm at delta={delta}")
+            failures.append((delta, f"h+/h ratio disagrees with unit norm at delta={delta}"))
         if narrow_pred == ODD and norm != -1:
-            failures.append(f"narrow-odd discriminant {delta} has norm +1 unit")
-    return checked, failures[:20]
+            failures.append((delta, f"narrow-odd discriminant {delta} has norm +1 unit"))
+    return checked, _smallest_failures(failures)
 
 
 def _genus_chunk(bounds: tuple[int, int]):
@@ -476,61 +493,94 @@ def _genus_chunk(bounds: tuple[int, int]):
         expected = 1 << (genus.mu(delta) - 1)
         if cd.two_torsion_narrow_count() != expected:
             failures.append(
-                f"|Cl+[2]| != 2^(mu-1) at delta={delta}: "
-                f"{cd.two_torsion_narrow_count()} vs {expected}"
+                (
+                    delta,
+                    f"|Cl+[2]| != 2^(mu-1) at delta={delta}: "
+                    f"{cd.two_torsion_narrow_count()} vs {expected}",
+                )
             )
         for d in (delta, -delta):
             if is_discriminant(d) and genus.mu(d) - 1 > omega(abs(d)):
-                failures.append(f"mu-1 > omega at delta={d}")
-    return checked, failures[:20]
+                failures.append((delta, f"mu-1 > omega at delta={d}"))
+    return checked, _smallest_failures(failures)
 
 
-def _conductor_chunk(bounds: tuple[int, int]):
+def _conductor_chunk(bounds: tuple[int, int, int]):
+    # Every non-maximal delta <= max_delta is f**2 * delta0 for exactly one
+    # fundamental delta0 <= max_delta / 4 and conductor f >= 2, so walking
+    # delta0 and then f checks the same set as walking delta, building each
+    # h(delta0) once instead of once per conductor.
+    lo, hi, max_delta = bounds
     checked = 0
     failures = []
-    for delta in _valid_deltas(*bounds):
-        if decompose(delta).conductor == 1:
+    for delta0 in range(lo, hi + 1):
+        if not is_fundamental_discriminant(delta0):
             continue
-        checked += 1
-        if not relations.verify_conductor_formula(delta):
-            failures.append(f"conductor formula mismatch at delta={delta}")
-    return checked, failures[:20]
+        h0 = _ClassData(delta0).h
+        for f in range(2, math.isqrt(max_delta // delta0) + 1):
+            delta = f * f * delta0
+            checked += 1
+            if relations.predicted_class_number(delta0, f, h0) != _ClassData(delta).h:
+                failures.append((delta, f"conductor formula mismatch at delta={delta}"))
+    return checked, _smallest_failures(failures)
 
 
-def _run_chunks(worker, lo: int, hi: int, jobs: int):
-    _prepare_tables(hi)
-    step = max(1000, (hi - lo + 1) // (max(jobs, 1) * 16) + 1)
-    chunks = [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
+def _delta_chunks(max_delta: int, jobs: int) -> list[tuple[int, int]]:
+    step = max(1000, (max_delta - 4) // (max(jobs, 1) * 16) + 1)
+    return [(a, min(a + step - 1, max_delta)) for a in range(5, max_delta + 1, step)]
+
+
+def _delta0_chunks(max_delta: int, jobs: int) -> list[tuple[int, int, int]]:
+    # Equal steps of sqrt(delta0): one delta0 costs about sum over f of
+    # sqrt(f**2 * delta0), that is max_delta / sqrt(delta0), so each step
+    # carries about the same work.  The top steps also build the largest
+    # h(delta0) and cost up to twice as much, so the chunks are returned
+    # from the top down: a pool ends on its lightest chunks, and the time
+    # one worker waits for the other at the end stays short whichever
+    # worker draws which chunk.
+    top = max_delta // 4
+    n = max(jobs, 1) * 16
+    edges = sorted({top * k * k // (n * n) for k in range(n + 1)})
+    chunks = [(max(a + 1, 5), b, max_delta) for a, b in zip(edges, edges[1:]) if b >= 5]
+    return chunks[::-1]
+
+
+def _run_chunks(worker, chunks: list[tuple], max_delta: int, jobs: int):
+    _prepare_tables(max_delta)
     if jobs <= 1:
         results = [worker(c) for c in chunks]
     else:
         with Pool(jobs) as pool:
-            # One chunk per dispatch: chunk costs grow with delta, and
-            # batching them leaves the heaviest batch to run last.
+            # One chunk per dispatch: batching chunks leaves the heaviest
+            # batch to run last.
             results = pool.map(worker, chunks, chunksize=1)
     checked = sum(r[0] for r in results)
-    failures: list[str] = []
-    for r in results:
-        failures.extend(r[1])
-    return checked, failures[:20]
+    failures = _smallest_failures(f for r in results for f in r[1])
+    return checked, [message for _, message in failures]
 
 
 def verify_parity(max_delta: int, jobs: int = 1) -> VerifyReport:
     """Predicates vs enumerated parities for all 0 < delta <= max_delta."""
-    checked, failures = _run_chunks(_parity_chunk, 5, max_delta, jobs)
+    checked, failures = _run_chunks(
+        _parity_chunk, _delta_chunks(max_delta, jobs), max_delta, jobs
+    )
     return VerifyReport("parity", checked, failures)
 
 
 def verify_genus(max_delta: int, jobs: int = 1) -> VerifyReport:
     """2**(mu-1) = |Cl+[2]| by enumeration, and mu - 1 <= omega."""
-    checked, failures = _run_chunks(_genus_chunk, 5, max_delta, jobs)
+    checked, failures = _run_chunks(
+        _genus_chunk, _delta_chunks(max_delta, jobs), max_delta, jobs
+    )
     return VerifyReport("genus", checked, failures)
 
 
 def verify_conductor(max_delta: int, jobs: int = 1) -> VerifyReport:
     """Conductor-formula prediction vs enumeration for all non-maximal
-    orders with delta <= max_delta."""
-    checked, failures = _run_chunks(_conductor_chunk, 5, max_delta, jobs)
+    orders with delta <= max_delta, building each h(delta0) once."""
+    checked, failures = _run_chunks(
+        _conductor_chunk, _delta0_chunks(max_delta, jobs), max_delta, jobs
+    )
     return VerifyReport("conductor", checked, failures)
 
 
@@ -546,7 +596,7 @@ def verify_cf(max_n: int) -> VerifyReport:
         checked += 1
         if not cfrac.verify_parametric_cf(UnitGeneratedParam(MINUS, n)):
             failures.append(f"minus-family expansion mismatch at n={n}")
-    return VerifyReport("cf", checked, failures[:20])
+    return VerifyReport("cf", checked, failures[:_MAX_FAILURES])
 
 
 def verify_group_axioms(max_delta: int, samples: int = 200, seed: int = 1) -> VerifyReport:
@@ -585,7 +635,7 @@ def verify_group_axioms(max_delta: int, samples: int = 200, seed: int = 1) -> Ve
             ):
                 failures.append(f"associativity fails at delta={delta}")
                 break
-    return VerifyReport("group-axioms", checked, failures[:20])
+    return VerifyReport("group-axioms", checked, failures[:_MAX_FAILURES])
 
 
 VERIFY_SUITES = {

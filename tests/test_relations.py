@@ -2,12 +2,14 @@ import math
 
 import pytest
 
+from ugo import relations
 from ugo.relations import (
     ConductorFormulaReport,
     bounded_family_statistic,
     class_number_via_conductor,
     hua_trend,
     local_unit_group_factor,
+    predicted_class_number,
     verify_conductor_formula,
 )
 
@@ -28,6 +30,15 @@ def test_conductor_formula_validation():
         class_number_via_conductor(-4, 2)
     with pytest.raises(OverflowError):
         class_number_via_conductor(5, 1 << 31)
+
+
+def test_predicted_class_number(monkeypatch):
+    assert predicted_class_number(5, 2, 1) == 1
+    assert predicted_class_number(5, 10, 1) == class_number_via_conductor(5, 10).h_predicted
+    # The unit index always divides the local factor; a wrong one must raise.
+    monkeypatch.setattr(relations.cfrac, "unit_index", lambda delta0, delta: 4)
+    with pytest.raises(ArithmeticError, match="non-integer"):
+        predicted_class_number(5, 2, 1)
 
 
 def test_local_factor():

@@ -3,13 +3,15 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from ugo import cli, search
-from ugo.forms import class_witness
+from ugo import cli, relations, search
+from ugo.forms import _ClassData, class_witness
+from ugo.orders import decompose, is_discriminant
 from ugo.search import (
     CSV_HEADER,
     RowError,
@@ -286,12 +288,16 @@ def test_cli_usage_error_exit_code(tmp_path):
     missing = str(tmp_path / "missing" / "scan.csv")
     missing_ckpt = tmp_path / "missing-ckpt.txt"
     for args in (
-        ("--n-max", "5", "--jobs", "0", "--out", out),
-        ("--n-min", "6", "--n-max", "5", "--out", out),
-        ("--n-max", "6", "--checkpoint", ckpt, "--out", out),  # written for --n-max 5
-        ("--n-max", "5", "--checkpoint", str(missing_ckpt), "--out", missing),
+        ("scan", "--n-max", "5", "--jobs", "0", "--out", out),
+        ("scan", "--n-min", "6", "--n-max", "5", "--out", out),
+        ("scan", "--n-max", "6", "--checkpoint", ckpt, "--out", out),  # written for --n-max 5
+        ("scan", "--n-max", "5", "--checkpoint", str(missing_ckpt), "--out", missing),
+        ("verify", "conductor", "--max-delta", "200", "--jobs", "-3"),
+        ("verify", "conductor", "--max-delta", "200", "--jobs", "0"),
+        ("verify", "cf", "--max-n", "0"),
+        ("verify", "cf", "--max-n", "-5"),
     ):
-        r = run_cli("scan", *args)
+        r = run_cli(*args)
         assert r.returncode == 1, args
         assert "Traceback" not in r.stderr and "error" in r.stderr, args
     assert not missing_ckpt.exists()
@@ -304,6 +310,51 @@ def test_cli_verify_max_delta_is_used(capsys):
         for bound in ("0", "4"):
             assert cli.main(["verify", suite, "--max-delta", bound]) == 1, (suite, bound)
             assert "below 5" in capsys.readouterr().err
+
+
+# Every non-maximal delta <= 5000, by its definition.
+NON_MAXIMAL_TO_5000 = [
+    d for d in range(5, 5001) if is_discriminant(d) and decompose(d).conductor > 1
+]
+
+
+def test_verify_conductor_builds_each_delta0_once(monkeypatch):
+    built = []
+    real_init = _ClassData.__init__
+
+    def spy(self, delta):
+        built.append(delta)
+        real_init(self, delta)
+
+    monkeypatch.setattr(_ClassData, "__init__", spy)
+    report = search.verify_conductor(5000)
+    assert report.passed, report.failures
+    assert len(NON_MAXIMAL_TO_5000) == report.checked == 914
+    counts = Counter(built)
+    assert max(counts.values()) == 1
+    checked = {d for d in counts if decompose(d).conductor > 1}
+    fundamental = {d for d in counts if decompose(d).conductor == 1}
+    assert checked == set(NON_MAXIMAL_TO_5000)
+    assert fundamental == {decompose(d).delta0 for d in NON_MAXIMAL_TO_5000}
+
+
+def test_verify_conductor_reports_smallest_failures(monkeypatch, capsys):
+    real = relations.predicted_class_number
+
+    def wrong_at_f_2_and_3(delta0, f, h0):
+        return real(delta0, f, h0) + (f in (2, 3))
+
+    monkeypatch.setattr(relations, "predicted_class_number", wrong_at_f_2_and_3)
+    wrong = sorted(d for d in NON_MAXIMAL_TO_5000 if decompose(d).conductor in (2, 3))
+    expected = [f"conductor formula mismatch at delta={d}" for d in wrong[:20]]
+    for jobs in (1, 2):
+        report = search.verify_conductor(5000, jobs=jobs)
+        assert report.checked == 914
+        assert report.failures == expected, jobs
+    assert cli.main(["verify", "conductor", "--max-delta", "5000", "--jobs", "2"]) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "conductor: FAIL (914 checks)"
+    assert out[1:] == [f"  counterexample: {e}" for e in expected]
 
 
 def test_cli_scan_overflow_exit_code(tmp_path):
