@@ -7,7 +7,8 @@ arithmetic is exact; periods are detected by the first repetition of the
 walk of the principal rho-cycle of reduced forms, the regular continued
 fraction of (b1 + sqrt(delta))/2 (Jacobson & Williams, *Solving the Pell
 Equation*, 2009, ch. 5), in memory linear in the size of the unit; its step
-`_rho_step` is the one that `forms` uses.
+`_rho_step` is the one that `forms` uses.  Discriminants are validated, and
+split into conductor and fundamental part, by `intarith`.
 """
 
 from __future__ import annotations
@@ -17,30 +18,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, cycle, islice
 
-from .intarith import squarefree_decomposition
+from .intarith import conductor_split, factor, is_discriminant
 
 _LOG_CUTOFF_BITS = 48
 
 
-def _is_valid_discriminant(delta: int) -> bool:
-    if delta == 0 or delta % 4 not in (0, 1):
-        return False
-    if delta > 0 and math.isqrt(delta) ** 2 == delta:
-        return False
-    return True
-
-
 def _check_positive_discriminant(delta: int) -> None:
-    if delta <= 0 or not _is_valid_discriminant(delta):
+    if delta <= 0 or not is_discriminant(delta):
         raise ValueError(f"{delta} is not a positive quadratic discriminant")
-
-
-def _is_fundamental(delta: int) -> bool:
-    if not _is_valid_discriminant(delta):
-        return False
-    s, k = squarefree_decomposition(abs(delta))
-    s = s if delta > 0 else -s
-    return k == 1 if s % 4 == 1 else (k == 2 and (s % 4) in (2, 3))
 
 
 @dataclass(frozen=True)
@@ -242,7 +227,7 @@ def unit_index(delta0: int, delta: int) -> int:
     """
     _check_positive_discriminant(delta0)
     _check_positive_discriminant(delta)
-    if not _is_fundamental(delta0):
+    if conductor_split(delta0, factor(delta0).pairs)[1] != 1:
         raise ValueError(f"{delta0} is not a fundamental discriminant")
     if delta % delta0 != 0:
         raise ValueError(f"{delta} is not of the form f**2*{delta0}")
@@ -288,8 +273,7 @@ def verify_parametric_cf(param) -> bool:
     if not param.is_real:
         raise ValueError("parametric expansions apply to real parameters only")
     n = param.n
-    delta = n * n - 4 if param.family == "plus" else n * n + 4
-    x = QuadIrrational(n, 2, delta)
+    x = QuadIrrational(n, 2, param.delta)
     rp, rq, mp_, mq = _parametric_forms(param.family, n)
     want_reg = _canonical_cf(rp, rq)
     want_mnu = _canonical_cf(mp_, mq)

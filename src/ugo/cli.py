@@ -205,12 +205,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if args.n_min > args.n_max:
+        return _usage_error("stats", f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    if args.stat == "bounded" and args.delta0_max < 5:
+        return _usage_error("stats", f"--delta0-max {args.delta0_max} is below 5")
     fams = _families(args.family)
-    samples = [(f, n) for f in fams for n in range(args.n_min, args.n_max + 1)]
+    samples = [
+        (f, n) for f in fams for n in range(args.n_min, args.n_max + 1)
+        if (search.family_discriminant(f, n) or 0) > 0
+    ]
     if args.stat == "hua":
-        rows, summary = relations.hua_trend(
-            [(f, n) for f, n in samples if not (f == PLUS and n < 3)]
-        )
+        rows, summary = relations.hua_trend(samples)
         print("family,n,delta,h,log_h_over_log_n")
         for r in rows:
             print(f"{r.family},{r.n},{r.delta},{r.h},{r.log_h_over_log_n:.6f}")
@@ -219,9 +224,7 @@ def _cmd_stats(args) -> int:
             f"min={summary['min']:.6f} max={summary['max']:.6f}"
         )
     else:
-        rows, summary = relations.bounded_family_statistic(
-            args.delta0_max, [(f, n) for f, n in samples if not (f == PLUS and n < 3)]
-        )
+        rows, summary = relations.bounded_family_statistic(args.delta0_max, samples)
         print("family,n,delta,delta0,f,h,deviation")
         for r in rows:
             print(

@@ -14,6 +14,7 @@ cost follows the number of forms rather than the divisors of (delta - b**2)/4.
 
 `class_witness` needs no enumeration: one split prime form that reduces
 outside the principal (and tau) cycle proves the class group nontrivial.
+Discriminants are validated by `intarith.is_discriminant`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 from . import cfrac
 from .cfrac import _principal_cycle, _rho_step
-from .intarith import factor, spf_table, sqrt_mod_prime, xgcd
+from .intarith import factor, is_discriminant, spf_table, sqrt_mod_prime, xgcd
 
 NARROW = "narrow"
 WIDE = "wide"
@@ -70,16 +71,10 @@ class ClassGroupStructure:
         return "x".join(str(d) for d in self.divisors) if self.divisors else "1"
 
 
-def _check_discriminant(delta: int) -> None:
-    if delta == 0 or delta % 4 not in (0, 1) or (
-        delta > 0 and math.isqrt(delta) ** 2 == delta
-    ):
-        raise ValueError(f"{delta} is not a quadratic discriminant")
-
-
 def principal_form(delta: int) -> BQF:
     """The identity class representative (1, delta mod 2, ...)."""
-    _check_discriminant(delta)
+    if not is_discriminant(delta):
+        raise ValueError(f"{delta} is not a quadratic discriminant")
     b0 = delta % 2
     return BQF(1, b0, (b0 * b0 - delta) // 4)
 
@@ -583,7 +578,8 @@ class _ClassData:
 
 @lru_cache(maxsize=64)
 def _class_data(delta: int) -> _ClassData:
-    _check_discriminant(delta)
+    if not is_discriminant(delta):
+        raise ValueError(f"{delta} is not a quadratic discriminant")
     return _ClassData(delta)
 
 

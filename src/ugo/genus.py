@@ -3,7 +3,9 @@
 The genus count mu(delta) depends only on the odd primes dividing the
 discriminant and its 2-adic congruence class; the parity predicates are pure
 pattern matches on the factorization.  The `verify parity` suite checks them
-against enumerated class numbers, and `inspect` reports them.
+against enumerated class numbers, and `inspect` reports them.  Scan rows and
+`inspect` pass the factor pairs of their discriminant record to `_mu` and
+the `_odd` helpers instead of factoring delta again.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from .cfrac import _check_positive_discriminant
 from .forms import ClassGroupStructure, _class_data
 from .intarith import factor
-from .orders import is_discriminant
+from .orders import decompose
 
 ODD = "odd"
 EVEN = "even"
@@ -20,9 +22,11 @@ MUST_BE_EVEN = "must_be_even"
 
 def mu(delta: int) -> int:
     """Number of genus characters of the order of discriminant delta."""
-    if not is_discriminant(delta):
-        raise ValueError(f"{delta} is not a quadratic discriminant")
-    r = sum(1 for p, _ in factor(abs(delta)).pairs if p != 2)
+    return _mu(delta, decompose(delta).pairs)
+
+
+def _mu(delta: int, pairs) -> int:
+    r = sum(1 for p, _ in pairs if p != 2)
     if delta % 4 == 1 or delta % 16 == 4:
         return r
     if delta % 16 in (8, 12) or delta % 32 == 16:
@@ -88,14 +92,17 @@ def wide_parity_predicate(delta: int) -> str:
     number is always one).
     """
     _check_positive_discriminant(delta)
-    pairs = factor(delta).pairs
+    return ODD if _wide_odd(delta, factor(delta).pairs) else EVEN
+
+
+def _wide_odd(delta: int, pairs) -> bool:
     if _narrow_odd(delta, pairs):
-        return ODD
+        return True
     odd_part = [(p, e) for p, e in pairs if p != 2]
     two_exp = next((e for p, e in pairs if p == 2), 0)
     if not odd_part:
         # delta = 2**k; discriminants require k odd, and k >= 5 here
-        return ODD if two_exp >= 5 else EVEN
+        return two_exp >= 5
     if len(odd_part) == 2 and two_exp in (0, 2):
         m = 1
         for p, e in odd_part:
@@ -106,16 +113,16 @@ def wide_parity_predicate(delta: int) -> str:
                 (odd_part[1], odd_part[0]),
             ):
                 if p % 4 == 3 and not (r % 2 == 0 and s % 2 == 0):
-                    return ODD
+                    return True
     if len(odd_part) == 1:
         p, r = odd_part[0]
         if two_exp == 2 and delta % 16 == 12 and r % 2 == 1:
-            return ODD
+            return True
         if two_exp == 3 and p % 4 == 3:
-            return ODD
+            return True
         if two_exp == 4:
-            return ODD
-    return EVEN
+            return True
+    return False
 
 
 def theorem_parity_checks(n: int, family: str) -> str | None:

@@ -1,5 +1,8 @@
 """Exact integer utilities: factorization, primality, multiplicative functions.
 
+It also holds the discriminant test and the split delta = f**2 * delta0 into
+conductor and fundamental discriminant, which `cfrac` and `orders` both need.
+
 Everything here is deterministic.  Factorization combines trial division by
 sieved small primes, a strong-pseudoprime test with a witness set that is
 provably correct for the full supported input range, and Brent's cycle-finding
@@ -248,12 +251,21 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 def squarefree_decomposition(m: int) -> tuple[int, int]:
     """Write m = s * k**2 with s squarefree; returns (s, k)."""
-    s = k = 1
-    for p, e in factor(m).pairs:
-        if e % 2:
-            s *= p
-        k *= p ** (e // 2)
-    return s, k
+    s = math.prod(p for p, e in factor(m).pairs if e % 2)
+    return s, math.isqrt(m // s)
+
+
+def is_discriminant(delta: int) -> bool:
+    """True iff delta is a quadratic discriminant: 0 or 1 mod 4, not a square."""
+    return delta % 4 in (0, 1) and not (delta >= 0 and math.isqrt(delta) ** 2 == delta)
+
+
+def conductor_split(delta: int, pairs) -> tuple[int, int]:
+    """(delta0, f) with delta = f**2 * delta0 and delta0 fundamental, for a
+    discriminant delta; `pairs` are the factor pairs of |delta|."""
+    s = math.prod(p for p, e in pairs if e % 2) * (1 if delta > 0 else -1)
+    f = math.isqrt(delta // s)
+    return (s, f) if s % 4 == 1 else (4 * s, f // 2)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

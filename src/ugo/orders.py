@@ -1,9 +1,10 @@
 """Discriminant bookkeeping for quadratic orders.
 
-Covers validity, conductor decomposition delta = f**2 * delta0, the
-unit-generated families n**2 -+ 4, orders generated by powers of the
-fundamental unit, and the narrow Richaud-Degert classification of
-fundamental radicands.
+Covers the discriminant record (`decompose` validates delta once and keeps
+the factor pairs of |delta| with the conductor decomposition delta =
+f**2 * delta0, computed in `intarith`), the unit-generated families
+n**2 -+ 4, orders generated by powers of the fundamental unit, and the
+narrow Richaud-Degert classification of fundamental radicands.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import cfrac
-from .intarith import squarefree_decomposition
+from .intarith import conductor_split, factor, is_discriminant
 from .cfrac import QuadUnit, log_embedding
 
 REAL = "real"
@@ -32,45 +33,47 @@ RD_ROWS = (
 )
 
 
-def is_discriminant(delta: int) -> bool:
-    """True iff delta is a quadratic discriminant: 0,1 mod 4 and nonsquare."""
-    if delta == 0 or delta % 4 not in (0, 1):
-        return False
-    if delta > 0 and math.isqrt(delta) ** 2 == delta:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class OrderDescriptor:
-    """A discriminant with its fundamental part and conductor."""
+    """A discriminant with its fundamental part, conductor and |delta|'s factor pairs."""
 
     delta: int
     delta0: int
     conductor: int
     sign: str
+    pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if self.conductor**2 * self.delta0 != self.delta:
             raise ValueError("delta must equal conductor**2 * delta0")
 
+    @property
+    def radicand(self) -> int:
+        return self.delta0 if self.delta0 % 4 == 1 else self.delta0 // 4
+
+    def rd_class(self) -> RDClass | None:
+        """`richaud_degert_classify` of delta0, for a real order."""
+        matches = _rd_matches(self.radicand)
+        return matches[0] if matches else None
+
 
 def decompose(delta: int) -> OrderDescriptor:
-    """Split a discriminant into fundamental discriminant and conductor."""
+    """Validate and factor a discriminant once, and split off its conductor."""
     if not is_discriminant(delta):
         raise ValueError(f"{delta} is not a quadratic discriminant")
-    s, k = squarefree_decomposition(abs(delta))
-    if delta < 0:
-        s = -s
-    if s % 4 == 1:
-        delta0, f = s, k
-    else:
-        delta0, f = 4 * s, k // 2
-    return OrderDescriptor(delta, delta0, f, REAL if delta > 0 else IMAGINARY)
+    pairs = factor(abs(delta)).pairs
+    delta0, f = conductor_split(delta, pairs)
+    return OrderDescriptor(delta, delta0, f, REAL if delta > 0 else IMAGINARY, pairs)
 
 
 def is_fundamental_discriminant(delta: int) -> bool:
     return is_discriminant(delta) and decompose(delta).conductor == 1
+
+
+def _fundamental(delta0: int) -> OrderDescriptor:
+    if not is_discriminant(delta0) or (desc := decompose(delta0)).conductor != 1:
+        raise ValueError(f"{delta0} is not a fundamental discriminant")
+    return desc
 
 
 @dataclass(frozen=True)
@@ -149,9 +152,7 @@ class RDClass:
 
 def fundamental_radicand(delta0: int) -> int:
     """The squarefree D0 with delta0 = D0 or 4*D0."""
-    if not is_fundamental_discriminant(delta0):
-        raise ValueError(f"{delta0} is not a fundamental discriminant")
-    return delta0 if delta0 % 4 == 1 else delta0 // 4
+    return _fundamental(delta0).radicand
 
 
 def _rd_matches(d0: int) -> list[RDClass]:
@@ -182,6 +183,4 @@ def richaud_degert_classify(delta0: int) -> RDClass | None:
     """
     if delta0 <= 0:
         raise ValueError("narrow Richaud-Degert classification is for real fields")
-    d0 = fundamental_radicand(delta0)
-    matches = _rd_matches(d0)
-    return matches[0] if matches else None
+    return _fundamental(delta0).rd_class()

@@ -14,6 +14,11 @@ cycles proves h > 1, and its square outside them proves the group is not
 tasks without one are enumerated, and every emitted row comes from the full
 class data.
 
+Scan rows, the 2-torsion filters and `inspect` share one builder,
+`_invariants`, fed by the discriminant record (`orders.decompose`, which
+factors delta once), the class data and the fundamental unit; it checks
+h+/h against the unit norm and h+ against 2**(mu-1).
+
 The verification suites split their range into chunks for one shared pool
 and merge path.  The parity and genus suites take equal ranges of delta.
 The conductor suite walks fundamental delta0 and then every conductor f >= 2,
@@ -36,17 +41,16 @@ from operator import itemgetter
 
 from . import cfrac, forms, genus, relations
 from .forms import _ClassData, _class_data
-from .genus import ODD
-from .intarith import MAX_INPUT, omega, spf_table
+from .genus import EVEN, ODD
+from .intarith import MAX_INPUT, is_discriminant, omega, spf_table
 from .orders import (
     MINUS,
     PLUS,
+    OrderDescriptor,
     UnitGeneratedParam,
     decompose,
     classify_unit_generated,
-    is_discriminant,
     is_fundamental_discriminant,
-    richaud_degert_classify,
 )
 
 log = logging.getLogger(__name__)
@@ -195,26 +199,19 @@ def family_discriminant(family: str, n: int) -> int | None:
     return delta if decompose(delta).conductor == 1 else None
 
 
-def _build_row(family: str, n: int, delta: int, cd: _ClassData) -> TableRow:
-    desc = decompose(delta)
-    mu_val = genus.mu(delta)
-    if delta > 0:
-        eps = cfrac.fundamental_unit(delta)
-        unit_norm, reg = eps.norm, eps.regulator
-        if (cd.h_plus == cd.h) != (unit_norm == -1):
-            raise ArithmeticError(
-                f"narrow/wide ratio disagrees with unit norm at delta={delta}"
-            )
-        rd = richaud_degert_classify(desc.delta0)
-        rd_row = rd.row if rd else None
-    else:
-        unit_norm, reg, rd_row = 1, 0.0, None
+def _invariants(desc: OrderDescriptor, cd: _ClassData, eps: cfrac.QuadUnit | None) -> dict:
+    # The invariants a scan row and an inspect report share, keyed by TableRow
+    # field, and both cross-checks of the form cycles; eps is None if delta < 0.
+    delta = desc.delta
+    mu = genus._mu(delta, desc.pairs)
+    genus_order = 1 << (mu - 1)
+    if eps is not None and (cd.h_plus == cd.h) != (eps.norm == -1):
+        raise ArithmeticError(f"narrow/wide ratio disagrees with unit norm at delta={delta}")
     ocpg = cd.is_two_torsion_narrow()
-    if ocpg != (cd.h_plus == (1 << (mu_val - 1))):
+    if ocpg != (cd.h_plus == genus_order):
         raise ArithmeticError(f"genus order inconsistency at delta={delta}")
-    return TableRow(
-        family=family,
-        n=n,
+    rd = desc.rd_class() if eps is not None else None
+    return dict(
         delta=delta,
         f=desc.conductor,
         delta0=desc.delta0,
@@ -222,15 +219,20 @@ def _build_row(family: str, n: int, delta: int, cd: _ClassData) -> TableRow:
         h_plus=cd.h_plus,
         cl=cd.wide_divisors(),
         cl_plus=cd.narrow_divisors(),
-        unit_norm=unit_norm,
-        regulator=reg,
-        mu=mu_val,
-        genus_order=1 << (mu_val - 1),
+        unit_norm=eps.norm if eps else 1,
+        regulator=eps.regulator if eps else 0.0,
+        mu=mu,
+        genus_order=genus_order,
         maximal=desc.conductor == 1,
-        rd_row=rd_row,
+        rd_row=rd.row if rd else None,
         one_class_per_genus=ocpg,
         two_torsion_wide=cd.is_two_torsion_wide(),
     )
+
+
+def _build_row(family: str, n: int, desc: OrderDescriptor, cd: _ClassData) -> TableRow:
+    eps = cfrac.fundamental_unit(desc.delta) if desc.delta > 0 else None
+    return TableRow(family=family, n=n, **_invariants(desc, cd, eps))
 
 
 def evaluate_task(family: str, n: int, flt: str):
@@ -240,21 +242,21 @@ def evaluate_task(family: str, n: int, flt: str):
         return None
     if abs(delta) > MAX_INPUT:
         return RowError(family, n, delta, "discriminant exceeds 2**62")
-    if flt == FILTER_MAXIMAL and decompose(delta).conductor != 1:
-        return None
     if flt in (FILTER_H1, FILTER_TTW, FILTER_TTN) and delta > 0:
         if forms.class_witness(delta, square=flt != FILTER_H1, wide=flt != FILTER_TTN):
             return None
+    desc = decompose(delta)
+    if flt == FILTER_MAXIMAL and desc.conductor != 1:
+        return None
     cd = _ClassData(delta)
-    if flt == FILTER_H1:
-        return _build_row(family, n, delta, cd) if cd.h == 1 else None
-    if flt == FILTER_TTW:
-        if cd.h_plus > (2 << genus.mu(delta)) or not cd.is_two_torsion_wide():
-            return None
-    if flt == FILTER_TTN:
-        if cd.h_plus != (1 << (genus.mu(delta) - 1)) or not cd.is_two_torsion_narrow():
-            return None
-    return _build_row(family, n, delta, cd)
+    if flt == FILTER_H1 and cd.h != 1:
+        return None
+    row = _build_row(family, n, desc, cd)
+    if flt == FILTER_TTW and not row.two_torsion_wide:
+        return None
+    if flt == FILTER_TTN and not row.one_class_per_genus:
+        return None
+    return row
 
 
 _WORKER_FILTER = FILTER_ALL
@@ -453,9 +455,7 @@ class VerifyReport:
 
 
 def _valid_deltas(lo: int, hi: int):
-    for delta in range(lo, hi + 1):
-        if delta % 4 in (0, 1) and delta >= 5 and math.isqrt(delta) ** 2 != delta:
-            yield delta
+    return filter(is_discriminant, range(lo, hi + 1))
 
 
 def _smallest_failures(failures):
@@ -604,9 +604,7 @@ def verify_group_axioms(max_delta: int, samples: int = 200, seed: int = 1) -> Ve
     rng = random.Random(seed)
     deltas = [d for d in _valid_deltas(5, min(max_delta, 2000))]
     deltas += [
-        d
-        for d in (rng.randrange(5, max_delta + 1) for _ in range(60))
-        if d % 4 in (0, 1) and math.isqrt(d) ** 2 != d
+        d for d in (rng.randrange(5, max_delta + 1) for _ in range(60)) if is_discriminant(d)
     ]
     checked = 0
     failures = []
@@ -651,42 +649,39 @@ def inspect_report(delta: int) -> dict:
     """Every invariant of a single discriminant, as a plain dict."""
     if abs(delta) > MAX_INPUT:
         raise OverflowError(f"|delta| = {abs(delta)} exceeds 2**62")
-    if not is_discriminant(delta):
-        raise ValueError(f"{delta} is not a quadratic discriminant")
     desc = decompose(delta)
-    cd = _class_data(delta)
-    params = classify_unit_generated(delta)
+    eps = cfrac.fundamental_unit(delta) if delta > 0 else None
+    inv = _invariants(desc, _class_data(delta), eps)
     report = {
         "delta": delta,
         "delta0": desc.delta0,
         "f": desc.conductor,
         "sign": desc.sign,
-        "unit_generated": [{"family": p.family, "n": p.n} for p in params],
-        "maximal": desc.conductor == 1,
-        "h": cd.h,
-        "h_plus": cd.h_plus,
-        "cl": _chain(cd.wide_divisors()),
-        "cl_plus": _chain(cd.narrow_divisors()),
-        "mu": genus.mu(delta),
-        "genus_order": genus.genus_group_order(delta),
-        "one_class_per_genus": cd.is_two_torsion_narrow(),
-        "two_torsion_wide": cd.is_two_torsion_wide(),
+        "unit_generated": [
+            {"family": p.family, "n": p.n} for p in classify_unit_generated(delta)
+        ],
+        "maximal": inv["maximal"],
+        "h": inv["h"],
+        "h_plus": inv["h_plus"],
+        "cl": _chain(inv["cl"]),
+        "cl_plus": _chain(inv["cl_plus"]),
+        "mu": inv["mu"],
+        "genus_order": inv["genus_order"],
+        "one_class_per_genus": inv["one_class_per_genus"],
+        "two_torsion_wide": inv["two_torsion_wide"],
     }
-    if delta > 0:
-        eps = cfrac.fundamental_unit(delta)
+    if eps is not None:
         report["unit"] = {
             "t": eps.t,
             "u": eps.u,
             "norm": eps.norm,
             "regulator": float(f"{eps.regulator:.12g}"),
         }
-        report["narrow_parity"] = genus.narrow_parity_predicate(delta)
-        report["wide_parity"] = genus.wide_parity_predicate(delta)
-        rd = richaud_degert_classify(desc.delta0)
-        report["rd_row"] = rd.row if rd else None
+        report["narrow_parity"] = ODD if genus._narrow_odd(delta, desc.pairs) else EVEN
+        report["wide_parity"] = ODD if genus._wide_odd(delta, desc.pairs) else EVEN
     else:
         report["unit"] = None
-        report["rd_row"] = None
+    report["rd_row"] = inv["rd_row"]
     report["classes"] = [
         [list(f) for f in cyc] for cyc in forms.narrow_classes(delta)
     ]

@@ -6,10 +6,11 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from ugo import cli, relations, search
+from ugo import cfrac, cli, forms, genus, intarith, relations, search
 from ugo.forms import _ClassData, class_witness
 from ugo.orders import decompose, is_discriminant
 from ugo.search import (
@@ -179,22 +180,37 @@ def test_determinism_across_jobs(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_resume_produces_identical_output(tmp_path, monkeypatch, crash_scan_after_rows):
-    monkeypatch.setattr(search, "_CHECKPOINT_EVERY", 8)
-    ref = tmp_path / "ref.csv"
-    cfg_ref = ScanConfig(families=("plus", "minus"), n_min=0, n_max=150, output=str(ref))
-    scan_to_file(cfg_ref)
+# Both families for n in [3, 32] give 60 tasks, each a row, so with a
+# checkpoint every 8 tasks the journal is written after rows 8, 16, ..., 56.
+RESUME_EVERY = 8
+RESUME_CRASHES = (
+    [pytest.param("csv", 5, id="before-first-flush")]
+    + [pytest.param("csv", k, id=f"after-flush-{k // RESUME_EVERY}") for k in range(8, 57, 8)]
+    + [pytest.param("csv", 57, id="past-last-flush"), pytest.param("jsonl", 30, id="jsonl")]
+)
 
-    out = tmp_path / "resumable.csv"
-    ckpt = tmp_path / "ckpt.txt"
-    cfg = ScanConfig(
-        families=("plus", "minus"), n_min=0, n_max=150,
-        output=str(out), checkpoint_path=str(ckpt),
+
+@pytest.mark.parametrize("fmt, rows", RESUME_CRASHES)
+def test_resume_produces_identical_output(tmp_path, monkeypatch, crash_scan_after_rows, fmt, rows):
+    monkeypatch.setattr(search, "_CHECKPOINT_EVERY", RESUME_EVERY)
+    ref = tmp_path / f"ref.{fmt}"
+    cfg_ref = ScanConfig(
+        families=("plus", "minus"), n_min=3, n_max=32, output=str(ref), format=fmt
     )
-    with crash_scan_after_rows(97):
+    assert scan_to_file(cfg_ref).rows_written == 60
+
+    out = tmp_path / f"resumable.{fmt}"
+    ckpt = tmp_path / "ckpt.txt"
+    cfg = replace(cfg_ref, output=str(out), checkpoint_path=str(ckpt))
+    with crash_scan_after_rows(rows):
         scan_to_file(cfg)
-    assert ckpt.exists()
-    assert search._read_journal(str(ckpt))["bytes"] < out.stat().st_size
+    flushed = rows - rows % RESUME_EVERY
+    if flushed:
+        journal = search._read_journal(str(ckpt))
+        assert journal["rows"] == flushed
+        assert (journal["bytes"] < out.stat().st_size) == (rows > flushed)
+    else:
+        assert not ckpt.exists()
     assert out.read_bytes() != ref.read_bytes()
     scan_to_file(cfg)
     assert out.read_bytes() == ref.read_bytes()
@@ -240,6 +256,59 @@ def test_inspect_report():
         inspect_report(0)
     with pytest.raises(OverflowError):
         inspect_report((1 << 63) + 1)
+
+
+def test_inspect_and_rows_cross_check_unit_norm_and_mu(monkeypatch):
+    # 725 = 27**2 - 4 has h = 2, h+ = 4 (norm +1 unit) and mu = 2.
+    real_unit = cfrac.fundamental_unit
+    real_mu = genus._mu
+
+    def flipped_norm(delta):
+        eps = real_unit(delta)
+        return SimpleNamespace(t=eps.t, u=eps.u, norm=-eps.norm, regulator=eps.regulator)
+
+    for name, wrong in (
+        ("fundamental_unit", flipped_norm),
+        ("_mu", lambda delta, pairs: real_mu(delta, pairs) + 1),
+    ):
+        with monkeypatch.context() as mp:
+            mp.setattr(genus if name == "_mu" else cfrac, name, wrong)
+            with pytest.raises(ArithmeticError):
+                inspect_report(725)
+            with pytest.raises(ArithmeticError):
+                evaluate_task("plus", 27, "all")
+    assert inspect_report(725)["cl_plus"] == "4"
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """A Counter of the arguments passed to `intarith.factor`, through
+    every binding of it in the ugo modules."""
+    calls = Counter()
+    real = intarith.factor
+
+    def spy(m):
+        calls[m] += 1
+        return real(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ugo" and getattr(module, "factor", None) is real:
+            monkeypatch.setattr(module, "factor", spy)
+    return calls
+
+
+def test_delta_factored_at_most_twice(factor_calls):
+    # Once by form enumeration, once for the discriminant record.
+    for family in ("plus", "minus"):
+        for n in (4901, 4902, 4903):
+            factor_calls.clear()
+            row = evaluate_task(family, n, "all")
+            assert factor_calls[abs(row.delta)] <= 2, (family, n)
+    for delta in (725, 68640, 100000001):
+        forms._class_data.cache_clear()
+        factor_calls.clear()
+        inspect_report(delta)
+        assert factor_calls[delta] <= 2, delta
 
 
 def test_cli_inspect_exit_codes():
@@ -296,11 +365,32 @@ def test_cli_usage_error_exit_code(tmp_path):
         ("verify", "conductor", "--max-delta", "200", "--jobs", "0"),
         ("verify", "cf", "--max-n", "0"),
         ("verify", "cf", "--max-n", "-5"),
+        ("stats", "bounded", "--delta0-max", "4", "--n-min", "1", "--n-max", "10"),
+        ("stats", "hua", "--n-min", "6", "--n-max", "5"),
+        ("stats", "bounded", "--delta0-max", "5", "--n-min", "6", "--n-max", "5"),
     ):
         r = run_cli(*args)
         assert r.returncode == 1, args
         assert "Traceback" not in r.stderr and "error" in r.stderr, args
     assert not missing_ckpt.exists()
+
+
+def test_each_module_imports_first():
+    # An import cycle can show only when a particular module is imported
+    # first, so each ugo module is imported on its own into a clean state.
+    script = (
+        "import importlib, pkgutil, sys, ugo\n"
+        "names = sorted(m.name for m in pkgutil.iter_modules(ugo.__path__, 'ugo.'))\n"
+        "for name in names:\n"
+        "    for key in [k for k in sys.modules if k.split('.')[0] == 'ugo']:\n"
+        "        del sys.modules[key]\n"
+        "    importlib.import_module(name)\n"
+        "print(*names)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_CLI_ENV)
+    assert r.returncode == 0, r.stderr
+    modules = ("cfrac", "cli", "forms", "genus", "intarith", "orders", "relations", "search")
+    assert r.stdout.split() == [f"ugo.{m}" for m in modules]
 
 
 def test_cli_verify_max_delta_is_used(capsys):
@@ -392,7 +482,17 @@ def test_cli_verify_suites_small():
     assert r.returncode == 0
 
 
-def test_cli_stats():
+def test_cli_stats(capsys):
+    # n that give no real discriminant are skipped: --n-min 0 or below
+    # prints the rows of --n-min 1, where both families are real.
+    for command in (("hua",), ("bounded", "--delta0-max", "5")):
+        for family in ("minus", "both"):
+            outs = []
+            for n_min in ("-5", "0", "1"):
+                argv = ["stats", *command, "--family", family, "--n-min", n_min, "--n-max", "40"]
+                assert cli.main(argv) == 0, argv
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1] == outs[2], (command, family)
     r = run_cli("stats", "hua", "--n-min", "3", "--n-max", "30")
     assert r.returncode == 0
     assert "# count=" in r.stdout
