@@ -205,12 +205,12 @@ def _invariants(desc: OrderDescriptor, cd: _ClassData, eps: cfrac.QuadUnit | Non
     delta = desc.delta
     mu = genus._mu(delta, desc.pairs)
     genus_order = 1 << (mu - 1)
-    if eps is not None and (cd.h_plus == cd.h) != (eps.norm == -1):
+    if eps and (cd.h_plus == cd.h) != (eps.norm == -1):
         raise ArithmeticError(f"narrow/wide ratio disagrees with unit norm at delta={delta}")
     ocpg = cd.is_two_torsion_narrow()
     if ocpg != (cd.h_plus == genus_order):
         raise ArithmeticError(f"genus order inconsistency at delta={delta}")
-    rd = desc.rd_class() if eps is not None else None
+    rd = desc.rd_class() if eps else None
     return dict(
         delta=delta,
         f=desc.conductor,
@@ -652,14 +652,13 @@ def inspect_report(delta: int) -> dict:
     desc = decompose(delta)
     eps = cfrac.fundamental_unit(delta) if delta > 0 else None
     inv = _invariants(desc, _class_data(delta), eps)
+    params = classify_unit_generated(delta)
     report = {
         "delta": delta,
         "delta0": desc.delta0,
         "f": desc.conductor,
         "sign": desc.sign,
-        "unit_generated": [
-            {"family": p.family, "n": p.n} for p in classify_unit_generated(delta)
-        ],
+        "unit_generated": [{"family": p.family, "n": p.n} for p in params],
         "maximal": inv["maximal"],
         "h": inv["h"],
         "h_plus": inv["h_plus"],
@@ -670,7 +669,7 @@ def inspect_report(delta: int) -> dict:
         "one_class_per_genus": inv["one_class_per_genus"],
         "two_torsion_wide": inv["two_torsion_wide"],
     }
-    if eps is not None:
+    if eps:
         report["unit"] = {
             "t": eps.t,
             "u": eps.u,

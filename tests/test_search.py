@@ -483,8 +483,8 @@ def test_cli_verify_suites_small():
 
 
 def test_cli_stats(capsys):
-    # n that give no real discriminant are skipped: --n-min 0 or below
-    # prints the rows of --n-min 1, where both families are real.
+    # n that give no real discriminant are skipped, so --n-min -5 and 0
+    # print the rows of --n-min 1.
     for command in (("hua",), ("bounded", "--delta0-max", "5")):
         for family in ("minus", "both"):
             outs = []
