@@ -14,7 +14,8 @@ cost follows the number of forms rather than the divisors of (delta - b**2)/4.
 
 `class_witness` needs no enumeration: one split prime form that reduces
 outside the principal (and tau) cycle proves the class group nontrivial.
-Discriminants are validated by `intarith.is_discriminant`.
+The class data carries the discriminant record (`orders.decompose`, which
+validates delta and factors it once); enumeration and its callers read it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import NamedTuple
 from . import cfrac
 from .cfrac import _principal_cycle, _rho_step
 from .intarith import factor, is_discriminant, spf_table, sqrt_mod_prime, xgcd
+from .orders import decompose
 
 NARROW = "narrow"
 WIDE = "wide"
@@ -232,6 +234,7 @@ class _ClassData:
 
     __slots__ = (
         "delta",
+        "desc",
         "w",
         "h_plus",
         "h",
@@ -252,6 +255,7 @@ class _ClassData:
 
     def __init__(self, delta: int):
         self.delta = delta
+        self.desc = decompose(delta)
         self._compose_memo: dict[tuple[int, int], int] = {}
         self._square_ids: list[int] | None = None
         if delta > 0:
@@ -271,7 +275,7 @@ class _ClassData:
         # by CRT over prime powers, read off the SPF table) times 2**k.
         delta = self.delta
         w = self.w
-        support = [p for p, e in factor(delta).pairs if e >= 2]
+        support = [p for p, e in self.desc.pairs if e >= 2]
         dmax = math.isqrt((delta - (2 - (delta & 1)) ** 2) >> 2)
         spf = spf_table(dmax)[: dmax + 1].tolist()
         # two[k]: the roots mod 2**(k+1) of x*x = delta (mod 2**(k+2)).
@@ -578,8 +582,6 @@ class _ClassData:
 
 @lru_cache(maxsize=64)
 def _class_data(delta: int) -> _ClassData:
-    if not is_discriminant(delta):
-        raise ValueError(f"{delta} is not a quadratic discriminant")
     return _ClassData(delta)
 
 

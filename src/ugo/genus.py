@@ -2,17 +2,18 @@
 
 The genus count mu(delta) depends only on the odd primes dividing the
 discriminant and its 2-adic congruence class; the parity predicates are pure
-pattern matches on the factorization.  The `verify parity` suite checks them
-against enumerated class numbers, and `inspect` reports them.  Scan rows and
-`inspect` pass the factor pairs of their discriminant record to `_mu` and
-the `_odd` helpers instead of factoring delta again.
+pattern matches on the factorization.  All of them read the factor pairs of
+the discriminant record (`orders.decompose`): the public functions build it,
+and scan rows, `inspect` and the verify suites pass the pairs their class
+data already carries to `_mu` and the `_odd` helpers instead of factoring
+delta again.
 """
 
 from __future__ import annotations
 
 from .cfrac import _check_positive_discriminant
 from .forms import ClassGroupStructure, _class_data
-from .intarith import factor
+from .intarith import factor  # noqa: F401  (a binding perfbench/selftest.py checks)
 from .orders import decompose
 
 ODD = "odd"
@@ -53,7 +54,7 @@ def one_class_per_genus(delta: int) -> bool:
     """
     cd = _class_data(delta)
     by_squares = cd.is_two_torsion_narrow()
-    by_counts = cd.h_plus == genus_group_order(delta)
+    by_counts = cd.h_plus == 1 << (_mu(delta, cd.desc.pairs) - 1)
     if by_squares != by_counts:
         raise ArithmeticError(
             f"genus order and 2-torsion test disagree at delta={delta}"
@@ -80,7 +81,7 @@ def narrow_parity_predicate(delta: int) -> str:
     for delta = 8.
     """
     _check_positive_discriminant(delta)
-    return ODD if _narrow_odd(delta, factor(delta).pairs) else EVEN
+    return ODD if _narrow_odd(delta, decompose(delta).pairs) else EVEN
 
 
 def wide_parity_predicate(delta: int) -> str:
@@ -92,7 +93,7 @@ def wide_parity_predicate(delta: int) -> str:
     number is always one).
     """
     _check_positive_discriminant(delta)
-    return ODD if _wide_odd(delta, factor(delta).pairs) else EVEN
+    return ODD if _wide_odd(delta, decompose(delta).pairs) else EVEN
 
 
 def _wide_odd(delta: int, pairs) -> bool:

@@ -4,7 +4,8 @@ It also holds the discriminant test and the split delta = f**2 * delta0 into
 conductor and fundamental discriminant, which `cfrac` and `orders` both need.
 
 Everything here is deterministic.  Factorization combines trial division by
-sieved small primes, a strong-pseudoprime test with a witness set that is
+the primes below 2**16, read off the one smallest-prime-factor sieve
+(`spf_table`), a strong-pseudoprime test with a witness set that is
 provably correct for the full supported input range, and Brent's cycle-finding
 split (applied recursively, so cofactors with three or more large prime
 factors are handled).  Inputs are capped at 2**62.
@@ -53,34 +54,6 @@ class Factorization:
         return iter(self.pairs)
 
 
-_prime_sieve_limit = 0
-_prime_list: list[int] = []
-
-
-def _extend_primes(limit: int) -> None:
-    global _prime_sieve_limit, _prime_list
-    if limit <= _prime_sieve_limit:
-        return
-    limit = max(limit, 1 << 10, 2 * _prime_sieve_limit)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    _prime_list = [int(p) for p in np.nonzero(mask)[0]]
-    _prime_sieve_limit = limit
-
-
-def primes_up_to(limit: int) -> list[int]:
-    """Sorted primes <= limit (sieved once, grown on demand)."""
-    _extend_primes(limit)
-    if _prime_sieve_limit == limit:
-        return list(_prime_list)
-    import bisect
-
-    return _prime_list[: bisect.bisect_right(_prime_list, limit)]
-
-
 _spf_array: np.ndarray | None = None
 
 
@@ -104,6 +77,19 @@ def spf_table(limit: int) -> np.ndarray:
         spf[1] = 1
         _spf_array = spf
     return _spf_array
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """Sorted primes <= limit: the p >= 2 with spf_table(limit)[p] == p."""
+    if limit < 2:
+        return []
+    spf = spf_table(limit)[2 : limit + 1]
+    return (np.flatnonzero(spf == np.arange(2, limit + 1, dtype=spf.dtype)) + 2).tolist()
+
+
+@lru_cache(maxsize=1)
+def _trial_primes() -> tuple[int, ...]:
+    return tuple(primes_up_to(_TRIAL_BOUND))
 
 
 def is_prime(m: int) -> bool:
@@ -179,8 +165,7 @@ def factor(m: int) -> Factorization:
         raise RangeError(f"factor: input {m} outside [1, 2**62]")
     out: dict[int, int] = {}
     if m > 1:
-        _extend_primes(_TRIAL_BOUND)
-        for p in _prime_list:
+        for p in _trial_primes():
             if p * p > m:
                 break
             if m % p == 0:

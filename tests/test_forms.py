@@ -25,6 +25,7 @@ from ugo.forms import (
     rho,
     wide_class_group,
 )
+from ugo.orders import decompose
 
 
 def brute_reduced(delta):
@@ -166,7 +167,7 @@ def test_positive_forms_against_brute_force():
                     if is_reduced(f, delta) and f.is_primitive():
                         want.add(f)
         # Enumerate without the cycle walk, which need not end on wrong forms.
-        A, B, C = _ClassData._positive_forms(SimpleNamespace(delta=delta, w=w))
+        A, B, C = _ClassData._positive_forms(SimpleNamespace(delta=delta, w=w, desc=decompose(delta)))
         got = set(map(BQF, A, B, C))
         assert len(got) == len(A) and got == want, delta
 

@@ -297,18 +297,29 @@ def factor_calls(monkeypatch):
     return calls
 
 
-def test_delta_factored_at_most_twice(factor_calls):
-    # Once by form enumeration, once for the discriminant record.
+def test_delta_factored_once(factor_calls):
+    # The discriminant record of the class data is the one factorization of
+    # delta behind a scan row, an inspect report and a verify-suite check.
     for family in ("plus", "minus"):
         for n in (4901, 4902, 4903):
             factor_calls.clear()
             row = evaluate_task(family, n, "all")
-            assert factor_calls[abs(row.delta)] <= 2, (family, n)
+            assert factor_calls[abs(row.delta)] == 1, (family, n)
     for delta in (725, 68640, 100000001):
         forms._class_data.cache_clear()
         factor_calls.clear()
         inspect_report(delta)
-        assert factor_calls[delta] <= 2, delta
+        assert factor_calls[delta] == 1, delta
+    for chunk in (search._parity_chunk, search._genus_chunk):
+        for delta in (1000, 1001, 1004, 1005):
+            factor_calls.clear()
+            assert chunk((delta, delta)) == (1, [])
+            assert factor_calls[delta] == 1, (chunk.__name__, delta)
+    # A chowla row first tests 4n**2+1 for squarefreeness.
+    for n in (4901, 4903, 4905):
+        factor_calls.clear()
+        row = evaluate_task("chowla", n, "all")
+        assert factor_calls[row.delta] <= 2, n
 
 
 def test_cli_inspect_exit_codes():
@@ -356,11 +367,21 @@ def test_cli_usage_error_exit_code(tmp_path):
     assert run_cli("scan", "--n-max", "5", "--out", out, "--checkpoint", ckpt).returncode == 0
     missing = str(tmp_path / "missing" / "scan.csv")
     missing_ckpt = tmp_path / "missing-ckpt.txt"
+    # Journals whose config line matches this scan but whose bytes line is
+    # absent or not an integer.
+    config_line = Path(ckpt).read_text().splitlines()[1]
+    assert config_line.startswith("config=")
+    no_bytes = tmp_path / "no-bytes.txt"
+    no_bytes.write_text(f"{config_line}\nrows=3\n")
+    bad_bytes = tmp_path / "bad-bytes.txt"
+    bad_bytes.write_text(f"{config_line}\nbytes=abc\nrows=3\n")
     for args in (
         ("scan", "--n-max", "5", "--jobs", "0", "--out", out),
         ("scan", "--n-min", "6", "--n-max", "5", "--out", out),
         ("scan", "--n-max", "6", "--checkpoint", ckpt, "--out", out),  # written for --n-max 5
         ("scan", "--n-max", "5", "--checkpoint", str(missing_ckpt), "--out", missing),
+        ("scan", "--n-max", "5", "--checkpoint", str(no_bytes), "--out", out),
+        ("scan", "--n-max", "5", "--checkpoint", str(bad_bytes), "--out", out),
         ("verify", "conductor", "--max-delta", "200", "--jobs", "-3"),
         ("verify", "conductor", "--max-delta", "200", "--jobs", "0"),
         ("verify", "cf", "--max-n", "0"),
