@@ -190,11 +190,8 @@ def _cmd_verify(args) -> int:
     if args.jobs < 1:
         return _usage_error("verify", f"--jobs {args.jobs} is below 1")
     if suite == "cf":
-        report = search.verify_cf(args.max_n)
-    elif suite == "group-axioms":
-        report = search.verify_group_axioms(bound)
-    else:
-        report = search.VERIFY_SUITES[suite](bound, jobs=args.jobs)
+        bound = args.max_n
+    report = search.VERIFY_SUITES[suite](bound, jobs=args.jobs)
     status = "pass" if report.passed else "FAIL"
     print(f"{report.suite}: {status} ({report.checked} checks)")
     if not report.passed:

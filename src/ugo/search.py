@@ -1,10 +1,14 @@
 """Scan harness: tabulate invariants of unit-generated orders in parallel.
 
 Work is partitioned by (family, n); each task is pure, so results are
-deterministic regardless of worker count.  A single writer emits rows in
-task order and maintains a small human-readable checkpoint journal (per
-family, the largest n whose prefix is fully flushed, plus the byte offset),
-rewritten atomically, so interrupted scans resume to byte-identical output.
+deterministic regardless of worker count.  Every fan-out, scan or verify
+suite, goes through one runner, `_run`, which maps in-process for one job
+and otherwise feeds a pool lazily, so a scan streams its tasks instead of
+listing them.  Tasks run in one fixed order (by family, then n), and a
+single writer emits rows in that order and keeps a small human-readable
+checkpoint journal: the count of finished tasks whose rows are flushed,
+plus the byte offset, rewritten atomically, so interrupted scans resume to
+byte-identical output.
 
 Filtered scans of real orders reject most tasks before any form
 enumeration.  The class-number-one and two-torsion filters first meet
@@ -19,13 +23,15 @@ Scan rows, the 2-torsion filters and `inspect` share one builder,
 (`orders.decompose`, which factors delta once), and the fundamental unit;
 it checks h+/h against the unit norm and h+ against 2**(mu-1).
 
-The verification suites split their range into chunks for one shared pool
-and merge path.  The parity and genus suites take equal ranges of delta and
+The verification suites split their range into chunks for the same runner
+and one merge.  The parity and genus suites take equal ranges of delta and
 read the parity shapes, mu and omega from the record of each class data.
 The conductor suite walks fundamental delta0 and then every conductor f >= 2,
 so each h(delta0) is built once, in chunks of equal steps of sqrt(delta0).
-Workers return failures as (delta, message), and every suite reports the 20
-smallest failing delta in ascending order, whatever the chunking.
+The cf suite takes equal ranges of n, and the group-axioms suite chunks its
+list of sampled delta.  Workers return failures as (delta or n, message),
+and every suite reports the 20 smallest in ascending order, whatever the
+chunking.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ import math
 import os
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import islice
 from multiprocessing import Pool
 from operator import itemgetter
 
@@ -215,14 +223,15 @@ def _invariants(cd: _ClassData, eps: cfrac.QuadUnit | None) -> dict:
     if ocpg != (cd.h_plus == genus_order):
         raise ArithmeticError(f"genus order inconsistency at delta={delta}")
     rd = desc.rd_class() if eps else None
+    cl_plus = cd.narrow_divisors()
     return dict(
         delta=delta,
         f=desc.conductor,
         delta0=desc.delta0,
         h=cd.h,
         h_plus=cd.h_plus,
-        cl=cd.wide_divisors(),
-        cl_plus=cd.narrow_divisors(),
+        cl=cl_plus if cd.h == cd.h_plus else cd.wide_divisors(),
+        cl_plus=cl_plus,
         unit_norm=eps.norm if eps else 1,
         regulator=eps.regulator if eps else 0.0,
         mu=mu,
@@ -262,26 +271,9 @@ def evaluate_task(family: str, n: int, flt: str):
     return row
 
 
-_WORKER_FILTER = FILTER_ALL
-
-
-def _init_worker(flt: str):
-    global _WORKER_FILTER
-    _WORKER_FILTER = flt
-
-
-def _worker(task: tuple[str, int]):
+def _task_result(flt: str, task: tuple[str, int]):
     family, n = task
-    return family, n, evaluate_task(family, n, _WORKER_FILTER)
-
-
-def _tasks(config: ScanConfig, done: dict[str, int] | None = None):
-    for family in config.families:
-        start = config.n_min
-        if done and family in done:
-            start = max(start, done[family] + 1)
-        for n in range(start, config.n_max + 1):
-            yield (family, n)
+    return family, n, evaluate_task(family, n, flt)
 
 
 def _prepare_tables(max_delta: int) -> None:
@@ -294,18 +286,29 @@ def _prepare_tables(max_delta: int) -> None:
     spf_table(min(max(math.isqrt(max_delta) // 2, 1), _PREBUILT_MAX))
 
 
-def iter_task_results(config: ScanConfig, done: dict[str, int] | None = None):
-    """Yield (family, n, TableRow | RowError | None) in deterministic order."""
-    tasks = list(_tasks(config, done))
-    nn = config.n_max * config.n_max
-    _prepare_tables(4 * nn + 1 if CHOWLA in config.families else nn + 4)
-    if config.jobs == 1:
-        for family, n in tasks:
-            yield family, n, evaluate_task(family, n, config.filter)
+def _run(fn, items, jobs: int, max_delta: int, chunksize: int = 1):
+    """Yield fn(item) for each item in order: serially when jobs <= 1,
+    otherwise from `jobs` forked workers that draw items lazily."""
+    _prepare_tables(max_delta)
+    if jobs <= 1:
+        yield from map(fn, items)
         return
-    chunk = max(1, min(64, len(tasks) // (config.jobs * 8) or 1))
-    with Pool(config.jobs, initializer=_init_worker, initargs=(config.filter,)) as pool:
-        yield from pool.imap(_worker, tasks, chunksize=chunk)
+    with Pool(jobs) as pool:
+        yield from pool.imap(fn, items, chunksize=chunksize)
+
+
+def iter_task_results(config: ScanConfig, done: int = 0):
+    """Yield (family, n, TableRow | RowError | None) for every task after
+    the first `done`, in task order: by family, then by n."""
+    tasks = (
+        (family, n) for family in config.families for n in range(config.n_min, config.n_max + 1)
+    )
+    left = len(config.families) * (config.n_max - config.n_min + 1) - done
+    chunk = max(1, min(64, left // (config.jobs * 8)))
+    nn = config.n_max * config.n_max
+    max_delta = 4 * nn + 1 if CHOWLA in config.families else nn + 4
+    fn = partial(_task_result, config.filter)
+    return _run(fn, islice(tasks, done, None), config.jobs, max_delta, chunk)
 
 
 def iter_rows(config: ScanConfig):
@@ -334,7 +337,7 @@ def classify_maximal(config: ScanConfig) -> list[TableRow]:
 
 
 def _read_journal(path: str) -> dict:
-    out: dict = {"done": {}}
+    out: dict = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -343,26 +346,23 @@ def _read_journal(path: str) -> dict:
             key, _, value = line.partition("=")
             if key == "config":
                 out["config"] = value
-            elif key in ("bytes", "rows") or key.startswith("done_"):
+            elif key in ("tasks", "bytes", "rows"):
                 if not value.isdecimal():
                     raise CheckpointError(f"checkpoint line {line!r} is not a count; remove it")
-                table = out["done"] if key.startswith("done_") else out
-                table[key.removeprefix("done_")] = int(value)
-    if "bytes" not in out or "rows" not in out:
-        raise CheckpointError("checkpoint lacks its bytes or rows line; remove it")
+                out[key] = int(value)
+    if not {"tasks", "bytes", "rows"} <= out.keys():
+        raise CheckpointError("checkpoint lacks its tasks, bytes or rows line; remove it")
     return out
 
 
-def _write_journal(path: str, config: ScanConfig, done: dict, nbytes: int, rows: int):
+def _write_journal(path: str, config: ScanConfig, tasks: int, nbytes: int, rows: int):
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write("# ugo scan checkpoint\n")
         fh.write(f"config={config.fingerprint()}\n")
+        fh.write(f"tasks={tasks}\n")
         fh.write(f"bytes={nbytes}\n")
         fh.write(f"rows={rows}\n")
-        for family in config.families:
-            if family in done:
-                fh.write(f"done_{family}={done[family]}\n")
     os.replace(tmp, path)
 
 
@@ -370,8 +370,7 @@ def scan_to_file(config: ScanConfig) -> ScanResult:
     """Scan and write delimited output, checkpointing as it goes."""
     if not config.output:
         raise ValueError("scan_to_file requires an output path")
-    done: dict[str, int] = {}
-    rows_written = 0
+    done = rows_written = 0
     resume_bytes = None
     if config.checkpoint_path and os.path.exists(config.checkpoint_path):
         journal = _read_journal(config.checkpoint_path)
@@ -380,13 +379,13 @@ def scan_to_file(config: ScanConfig) -> ScanResult:
                 "checkpoint does not match this scan configuration; "
                 "remove it or change --checkpoint"
             )
-        done = dict(journal["done"])
+        done = journal["tasks"]
         resume_bytes = journal["bytes"]
         rows_written = journal["rows"]
 
     resuming = resume_bytes is not None and os.path.exists(config.output)
     if not resuming:
-        done, rows_written = {}, 0
+        done = rows_written = 0
     elif os.path.getsize(config.output) < resume_bytes:
         raise CheckpointError("checkpoint is ahead of the output file; remove both")
     try:
@@ -395,53 +394,35 @@ def scan_to_file(config: ScanConfig) -> ScanResult:
         raise OutputError(f"cannot open {config.output}: {exc.strerror}") from exc
     result = ScanResult(rows_written=rows_written)
     fmt = TableRow.csv_line if config.format == "csv" else TableRow.json_line
-    pending = 0
+
+    def checkpoint():
+        out.flush()
+        os.fsync(out.fileno())
+        _write_journal(config.checkpoint_path, config, done, out.tell(), result.rows_written)
+
     try:
         if resuming:
             out.truncate(resume_bytes)
             out.seek(resume_bytes)
         elif config.format == "csv":
             out.write(CSV_HEADER + "\n")
-        last_task: tuple[str, int] | None = None
-        for family, n, r in iter_task_results(config, done):
-            last_task = (family, n)
-            pending += 1
+        # Tasks run in one fixed order, so a count of finished tasks is the
+        # whole resume point.
+        for _, _, r in iter_task_results(config, done):
+            done += 1
             if isinstance(r, RowError):
                 log.error("row error at (%s, %d): %s", r.family, r.n, r.message)
                 result.errors.append(r)
             elif r is not None:
                 out.write(fmt(r) + "\n")
                 result.rows_written += 1
-            if pending >= _CHECKPOINT_EVERY and config.checkpoint_path:
-                _advance_done(config, done, last_task)
-                out.flush()
-                os.fsync(out.fileno())
-                _write_journal(
-                    config.checkpoint_path, config, done, out.tell(), result.rows_written
-                )
-                pending = 0
-        out.flush()
+            if done % _CHECKPOINT_EVERY == 0 and config.checkpoint_path:
+                checkpoint()
         if config.checkpoint_path:
-            for family in config.families:
-                done[family] = config.n_max
-            os.fsync(out.fileno())
-            _write_journal(
-                config.checkpoint_path, config, done, out.tell(), result.rows_written
-            )
+            checkpoint()
     finally:
         out.close()
     return result
-
-
-def _advance_done(config: ScanConfig, done: dict, last_task: tuple[str, int] | None):
-    if last_task is None:
-        return
-    family, n = last_task
-    for f in config.families:
-        if f == family:
-            done[f] = n
-            break
-        done[f] = config.n_max
 
 
 # -- verification suites ----------------------------------------------------
@@ -530,9 +511,53 @@ def _conductor_chunk(bounds: tuple[int, int, int]):
     return checked, _smallest_failures(failures)
 
 
-def _delta_chunks(max_delta: int, jobs: int) -> list[tuple[int, int]]:
-    step = max(1000, (max_delta - 4) // (max(jobs, 1) * 16) + 1)
-    return [(a, min(a + step - 1, max_delta)) for a in range(5, max_delta + 1, step)]
+def _cf_chunk(bounds: tuple[int, int]):
+    checked = 0
+    failures = []
+    for n in range(bounds[0], bounds[1] + 1):
+        for family in (PLUS, MINUS) if n >= 3 else (MINUS,):
+            checked += 1
+            if not cfrac.verify_parametric_cf(UnitGeneratedParam(family, n)):
+                failures.append((n, f"{family}-family expansion mismatch at n={n}"))
+    return checked, _smallest_failures(failures)
+
+
+def _axioms_chunk(deltas: list[int]):
+    # Each delta draws its class triples from its own seeded generator, so
+    # the checks do not depend on how the deltas are chunked.
+    checked = 0
+    failures = []
+    for delta in deltas:
+        cd = _ClassData(delta)
+        rng = random.Random(f"{_AXIOM_SEED}:{delta}")
+        ident = cd.principal
+        ids = range(cd.h_plus)
+        for _ in range(_AXIOM_TRIALS):
+            i = rng.choice(ids)
+            j = rng.choice(ids)
+            k = rng.choice(ids)
+            checked += 1
+            a, b, c = cd.pos_rep[i]
+            ij = cd.compose_ids(i, j)
+            if cd.compose_ids(ident, i) != i:
+                law = "identity law"
+            elif cd.compose_ids(i, cd.orbit_of(forms.BQF(a, -b, c))) != ident:
+                law = "inverse law"
+            elif ij != cd.compose_ids(j, i):
+                law = "commutativity"
+            elif cd.compose_ids(ij, k) != cd.compose_ids(i, cd.compose_ids(j, k)):
+                law = "associativity"
+            else:
+                continue
+            failures.append((delta, f"{law} fails at delta={delta}"))
+            break
+    return checked, _smallest_failures(failures)
+
+
+def _ranges(lo: int, hi: int, jobs: int, least: int) -> list[tuple[int, int]]:
+    # About 16 equal ranges per worker, each at least `least` long.
+    step = max(least, (hi - lo + 1) // (max(jobs, 1) * 16) + 1)
+    return [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
 
 
 def _delta0_chunks(max_delta: int, jobs: int) -> list[tuple[int, int, int]]:
@@ -550,95 +575,47 @@ def _delta0_chunks(max_delta: int, jobs: int) -> list[tuple[int, int, int]]:
     return chunks[::-1]
 
 
-def _run_chunks(worker, chunks: list[tuple], max_delta: int, jobs: int):
-    _prepare_tables(max_delta)
-    if jobs <= 1:
-        results = [worker(c) for c in chunks]
-    else:
-        with Pool(jobs) as pool:
-            # One chunk per dispatch: batching chunks leaves the heaviest
-            # batch to run last.
-            results = pool.map(worker, chunks, chunksize=1)
-    checked = sum(r[0] for r in results)
+def _verify(suite: str, worker, chunks: list, jobs: int, max_delta: int) -> VerifyReport:
+    # One chunk per dispatch (the default chunksize of _run): batching
+    # chunks leaves the heaviest batch to run last.
+    results = list(_run(worker, chunks, jobs, max_delta))
     failures = _smallest_failures(f for r in results for f in r[1])
-    return checked, [message for _, message in failures]
+    return VerifyReport(suite, sum(r[0] for r in results), [m for _, m in failures])
 
 
 def verify_parity(max_delta: int, jobs: int = 1) -> VerifyReport:
     """Predicates vs enumerated parities for all 0 < delta <= max_delta."""
-    checked, failures = _run_chunks(
-        _parity_chunk, _delta_chunks(max_delta, jobs), max_delta, jobs
-    )
-    return VerifyReport("parity", checked, failures)
+    chunks = _ranges(5, max_delta, jobs, 1000)
+    return _verify("parity", _parity_chunk, chunks, jobs, max_delta)
 
 
 def verify_genus(max_delta: int, jobs: int = 1) -> VerifyReport:
     """2**(mu-1) = |Cl+[2]| by enumeration, and mu - 1 <= omega."""
-    checked, failures = _run_chunks(
-        _genus_chunk, _delta_chunks(max_delta, jobs), max_delta, jobs
-    )
-    return VerifyReport("genus", checked, failures)
+    chunks = _ranges(5, max_delta, jobs, 1000)
+    return _verify("genus", _genus_chunk, chunks, jobs, max_delta)
 
 
 def verify_conductor(max_delta: int, jobs: int = 1) -> VerifyReport:
     """Conductor-formula prediction vs enumeration for all non-maximal
     orders with delta <= max_delta, building each h(delta0) once."""
-    checked, failures = _run_chunks(
-        _conductor_chunk, _delta0_chunks(max_delta, jobs), max_delta, jobs
-    )
-    return VerifyReport("conductor", checked, failures)
+    chunks = _delta0_chunks(max_delta, jobs)
+    return _verify("conductor", _conductor_chunk, chunks, jobs, max_delta)
 
 
-def verify_cf(max_n: int) -> VerifyReport:
-    """Parametric continued fraction forms for both families up to max_n."""
-    checked = 0
-    failures = []
-    for n in range(3, max_n + 1):
-        checked += 1
-        if not cfrac.verify_parametric_cf(UnitGeneratedParam(PLUS, n)):
-            failures.append(f"plus-family expansion mismatch at n={n}")
-    for n in range(1, max_n + 1):
-        checked += 1
-        if not cfrac.verify_parametric_cf(UnitGeneratedParam(MINUS, n)):
-            failures.append(f"minus-family expansion mismatch at n={n}")
-    return VerifyReport("cf", checked, failures[:_MAX_FAILURES])
+def verify_cf(max_n: int, jobs: int = 1) -> VerifyReport:
+    """Parametric continued fraction forms for both families up to max_n;
+    failures are keyed by n."""
+    return _verify("cf", _cf_chunk, _ranges(1, max_n, jobs, 64), jobs, 0)
 
 
-def verify_group_axioms(max_delta: int) -> VerifyReport:
-    """Identity, inverses, commutativity, associativity on sampled classes."""
+def verify_group_axioms(max_delta: int, jobs: int = 1) -> VerifyReport:
+    """Identity, inverses, commutativity, associativity on sampled classes
+    of every delta <= 2000 and of random delta <= max_delta."""
     rng = random.Random(_AXIOM_SEED)
-    deltas = [d for d in _valid_deltas(5, min(max_delta, 2000))]
-    deltas += [
-        d for d in (rng.randrange(5, max_delta + 1) for _ in range(60)) if is_discriminant(d)
-    ]
-    checked = 0
-    failures = []
-    for delta in deltas:
-        cd = _ClassData(delta)
-        ident = cd.principal
-        ids = list(range(cd.h_plus))
-        for _ in range(_AXIOM_TRIALS):
-            i = rng.choice(ids)
-            j = rng.choice(ids)
-            k = rng.choice(ids)
-            checked += 1
-            if cd.compose_ids(ident, i) != i:
-                failures.append(f"identity law fails at delta={delta}")
-                break
-            a, b, c = cd.pos_rep[i]
-            inv = cd.orbit_of(forms.BQF(a, -b, c))
-            if cd.compose_ids(i, inv) != ident:
-                failures.append(f"inverse law fails at delta={delta}")
-                break
-            if cd.compose_ids(i, j) != cd.compose_ids(j, i):
-                failures.append(f"commutativity fails at delta={delta}")
-                break
-            if cd.compose_ids(cd.compose_ids(i, j), k) != cd.compose_ids(
-                i, cd.compose_ids(j, k)
-            ):
-                failures.append(f"associativity fails at delta={delta}")
-                break
-    return VerifyReport("group-axioms", checked, failures[:_MAX_FAILURES])
+    draws = (rng.randrange(5, max_delta + 1) for _ in range(60))
+    deltas = [*_valid_deltas(5, min(max_delta, 2000)), *filter(is_discriminant, draws)]
+    chunks = [deltas[a : b + 1] for a, b in _ranges(0, len(deltas) - 1, jobs, 1)]
+    return _verify("group-axioms", _axioms_chunk, chunks, jobs, max_delta)
 
 
 VERIFY_SUITES = {

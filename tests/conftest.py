@@ -23,7 +23,7 @@ def crash_scan_after_rows():
     def crash(rows: int):
         real = search.iter_task_results
 
-        def crashing(config, done=None):
+        def crashing(config, done=0):
             left = rows
             for item in real(config, done):
                 yield item

@@ -3,8 +3,10 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -230,6 +232,19 @@ def test_resume_rejects_config_change(tmp_path, monkeypatch, crash_scan_after_ro
         )
 
 
+def test_scan_streams_its_tasks():
+    # A million tasks as a list would take about 92 MB before the first row.
+    cfg = ScanConfig(families=("plus",), n_min=0, n_max=10**6)
+    tracemalloc.start()
+    try:
+        results = list(islice(search.iter_task_results(cfg), 100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(f, n) for f, n, _ in results] == [("plus", n) for n in range(100)]
+    assert peak < 10 * 2**20, peak
+
+
 def test_jsonl_format(tmp_path):
     out = tmp_path / "scan.jsonl"
     cfg = ScanConfig(families=("minus",), n_min=1, n_max=12, output=str(out), format="jsonl")
@@ -322,6 +337,25 @@ def test_delta_factored_once(factor_calls):
         assert factor_calls[row.delta] <= 2, n
 
 
+def test_narrow_chain_computed_once_per_row(monkeypatch):
+    # A minus row has h = h+ (its unit has norm -1), so its wide chain is
+    # its narrow chain; a plus row folds the narrow group by tau.
+    calls = []
+    real = _ClassData._invariant_factors
+
+    def spy(self, project):
+        calls.append(self.delta)
+        return real(self, project)
+
+    monkeypatch.setattr(_ClassData, "_invariant_factors", spy)
+    for family, expected in (("minus", 1), ("plus", 2)):
+        for n in (4901, 4902, 4903):
+            calls.clear()
+            row = evaluate_task(family, n, "all")
+            assert (row.h == row.h_plus) == (family == "minus")
+            assert calls == [row.delta] * expected, (family, n)
+
+
 def test_cli_inspect_exit_codes():
     assert run_cli("inspect", "68").returncode == 0
     assert run_cli("inspect", "0").returncode == 2
@@ -375,6 +409,12 @@ def test_cli_usage_error_exit_code(tmp_path):
     no_bytes.write_text(f"{config_line}\nrows=3\n")
     bad_bytes = tmp_path / "bad-bytes.txt"
     bad_bytes.write_text(f"{config_line}\nbytes=abc\nrows=3\n")
+    # A journal from before task counts: a done line per family, no tasks line.
+    scanned = Path(out).read_bytes()
+    old_format = tmp_path / "old-format.txt"
+    old_format.write_text(
+        f"# ugo scan checkpoint\n{config_line}\nbytes={len(scanned)}\nrows=3\ndone_plus=5\n"
+    )
     for args in (
         ("scan", "--n-max", "5", "--jobs", "0", "--out", out),
         ("scan", "--n-min", "6", "--n-max", "5", "--out", out),
@@ -382,6 +422,7 @@ def test_cli_usage_error_exit_code(tmp_path):
         ("scan", "--n-max", "5", "--checkpoint", str(missing_ckpt), "--out", missing),
         ("scan", "--n-max", "5", "--checkpoint", str(no_bytes), "--out", out),
         ("scan", "--n-max", "5", "--checkpoint", str(bad_bytes), "--out", out),
+        ("scan", "--n-max", "5", "--checkpoint", str(old_format), "--out", out),
         ("verify", "conductor", "--max-delta", "200", "--jobs", "-3"),
         ("verify", "conductor", "--max-delta", "200", "--jobs", "0"),
         ("verify", "cf", "--max-n", "0"),
@@ -393,7 +434,10 @@ def test_cli_usage_error_exit_code(tmp_path):
         r = run_cli(*args)
         assert r.returncode == 1, args
         assert "Traceback" not in r.stderr and "error" in r.stderr, args
+        if str(old_format) in args:
+            assert "remove it" in r.stderr
     assert not missing_ckpt.exists()
+    assert Path(out).read_bytes() == scanned
 
 
 def test_each_module_imports_first():
@@ -412,6 +456,19 @@ def test_each_module_imports_first():
     assert r.returncode == 0, r.stderr
     modules = ("cfrac", "cli", "forms", "genus", "intarith", "orders", "relations", "search")
     assert r.stdout.split() == [f"ugo.{m}" for m in modules]
+
+
+def test_benchmark_selftest():
+    # The benchmark wraps program functions by name; a rename or deletion
+    # under src/ shows here.  It runs in its own process because the tracer
+    # patches the ugo modules for the rest of the process.
+    r = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        capture_output=True,
+        text=True,
+        cwd=Path(__file__).parents[1],
+    )
+    assert r.returncode == 0, r.stdout + r.stderr
 
 
 def test_cli_verify_max_delta_is_used(capsys):
@@ -466,6 +523,61 @@ def test_verify_conductor_reports_smallest_failures(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "conductor: FAIL (914 checks)"
     assert out[1:] == [f"  counterexample: {e}" for e in expected]
+
+
+def test_verify_cf_and_group_axioms_honour_jobs(capsys):
+    for argv, line in (
+        (["verify", "cf", "--max-n", "500"], "cf: pass (998 checks)"),
+        (["verify", "group-axioms", "--max-delta", "3000"], None),
+    ):
+        outs = []
+        for jobs in ("1", "2"):
+            assert cli.main([*argv, "--jobs", jobs]) == 0, argv
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], argv
+        assert line is None or outs[0] == line + "\n"
+
+
+def test_verify_cf_reports_smallest_failures(monkeypatch, capsys):
+    real = cfrac.verify_parametric_cf
+    monkeypatch.setattr(
+        cfrac, "verify_parametric_cf", lambda param: param.n % 20 != 7 and real(param)
+    )
+    wrong = [(n, f) for n in range(7, 501, 20) for f in ("plus", "minus")]
+    expected = [f"{f}-family expansion mismatch at n={n}" for n, f in wrong[:20]]
+    for jobs in (1, 2):
+        report = search.verify_cf(500, jobs=jobs)
+        assert report.checked == 998
+        assert report.failures == expected, jobs
+    assert cli.main(["verify", "cf", "--max-n", "500", "--jobs", "2"]) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "cf: FAIL (998 checks)"
+    assert out[1:] == [f"  counterexample: {e}" for e in expected]
+
+
+def test_verify_group_axioms_reports_smallest_failures(monkeypatch, capsys):
+    # Composing with the identity goes wrong at 25 small delta with h+ >= 2.
+    bad = [d for d in range(5, 2001) if is_discriminant(d) and _ClassData(d).h_plus > 1][:25]
+    real = _ClassData.compose_ids
+
+    def corrupt(self, i, j):
+        if self.delta in bad and i == self.principal != j:
+            return i
+        return real(self, i, j)
+
+    monkeypatch.setattr(_ClassData, "compose_ids", corrupt)
+    # Which law fails first, and after how many checks, depends on the
+    # class triples drawn; they depend on delta only, not on the chunking.
+    report = search.verify_group_axioms(10**4)
+    assert [m.partition(" fails at delta=")[2] for m in report.failures] == [
+        str(d) for d in bad[:20]
+    ]
+    assert report.checked < 20580
+    assert search.verify_group_axioms(10**4, jobs=2) == report
+    assert cli.main(["verify", "group-axioms", "--jobs", "2"]) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"group-axioms: FAIL ({report.checked} checks)"
+    assert out[1:] == [f"  counterexample: {e}" for e in report.failures]
 
 
 def test_cli_scan_overflow_exit_code(tmp_path):
