@@ -15,7 +15,10 @@ cost follows the number of forms rather than the divisors of (delta - b**2)/4.
 `class_witness` needs no enumeration: one split prime form that reduces
 outside the principal (and tau) cycle proves the class group nontrivial.
 The class data carries the discriminant record (`orders.decompose`, which
-validates delta and factors it once); enumeration and its callers read it.
+validates delta and factors it once), records each rho-cycle as its one walk
+meets it, so `narrow_classes` lists the classes without a second walk, and
+holds the two cross-checks of the cycle count: against the unit norm and
+against the genus order.
 """
 
 from __future__ import annotations
@@ -57,10 +60,7 @@ class ClassGroupStructure:
     flavor: str
 
     def __post_init__(self):
-        prod = 1
-        for d in self.divisors:
-            prod *= d
-        if prod != self.order:
+        if math.prod(self.divisors) != self.order:
             raise ValueError("divisors must multiply to the group order")
         for x, y in zip(self.divisors, self.divisors[1:]):
             if y % x != 0:
@@ -70,7 +70,12 @@ class ClassGroupStructure:
         return all(d == 2 for d in self.divisors)
 
     def __str__(self) -> str:
-        return "x".join(str(d) for d in self.divisors) if self.divisors else "1"
+        return divisor_chain(self.divisors)
+
+
+def divisor_chain(divisors: tuple[int, ...]) -> str:
+    """The chain as text, d1xd2x...; "1" for the trivial group."""
+    return "x".join(map(str, divisors)) if divisors else "1"
 
 
 def principal_form(delta: int) -> BQF:
@@ -230,7 +235,15 @@ def class_witness(delta: int, *, square: bool, wide: bool) -> bool:
 
 
 class _ClassData:
-    """All reduced-form cycle data for one discriminant."""
+    """All reduced-form cycle data for one discriminant.
+
+    `forms_a`, `forms_b`, `forms_c` hold the forms with a > 0, and `index`
+    finds one by its key a * stride + b (one key for both signs of delta).
+    Cycle k is walk[starts[k]:starts[k + 1]], its forms' positions in walk
+    order: rho**2 steps for delta > 0, a single form for delta < 0.  `orbit`
+    maps a position to its cycle; `rep(k)`, the first walked form, is the
+    representative compositions start from.
+    """
 
     __slots__ = (
         "delta",
@@ -244,11 +257,10 @@ class _ClassData:
         "forms_b",
         "forms_c",
         "orbit",
-        "pos_rep",
-        "canon",
+        "walk",
+        "starts",
         "principal",
         "tau",
-        "ratio_one",
         "_compose_memo",
         "_square_ids",
     )
@@ -374,51 +386,41 @@ class _ClassData:
         for i in range(nf):
             index[A[i] * stride + B[i]] = i
         orbit = self.orbit = [-1] * nf
-        pos_rep: list[tuple[int, int, int]] = []
-        canon: list[tuple[int, int, int]] = []
-        n_orbits = 0
+        walk = self.walk = []
+        starts = self.starts = []
         for i in range(nf):
             if orbit[i] >= 0:
                 continue
-            oid = n_orbits
-            n_orbits += 1
-            pos_rep.append((A[i], B[i], C[i]))
-            ma = mb = mc = None
+            oid = len(starts)
+            starts.append(len(walk))
             j = i
             while True:
                 orbit[j] = oid
-                b1 = B[j]
+                walk.append(j)
                 c1 = C[j]
-                ca = -c1
-                nb = w - ((w + b1) % (ca + ca))
+                nb = w - ((w + B[j]) % (-c1 - c1))
                 nc = (nb * nb - delta) // (4 * c1)
-                if ma is None or c1 < ma or (c1 == ma and (nb, nc) < (mb, mc)):
-                    ma, mb, mc = c1, nb, nc
                 nb2 = w - ((w + nb) % (nc + nc))
                 j = index[nc * stride + nb2]
                 if j == i:
                     break
-            canon.append((ma, mb, mc))
+        self.h_plus = len(starts)
+        starts.append(nf)
         self.forms_a, self.forms_b, self.forms_c = A, B, C
-        self.pos_rep = pos_rep
-        self.canon = canon
-        self.h_plus = n_orbits
         b1 = w if ((w ^ delta) & 1) == 0 else w - 1
         self.principal = orbit[index[stride + b1]]
         c_tau = (delta - b1 * b1) >> 2
         nb = w - ((w + b1) % (c_tau + c_tau))
         self.tau = orbit[index[c_tau * stride + nb]]
-        self.ratio_one = self.tau == self.principal
-        if self.ratio_one:
-            self.h = self.h_plus
-        else:
-            if self.h_plus % 2:
-                raise ArithmeticError(
-                    f"odd narrow class number with nontrivial negative class at {delta}"
-                )
-            self.h = self.h_plus // 2
+        if self.tau != self.principal and self.h_plus % 2:
+            raise ArithmeticError(
+                f"odd narrow class number with nontrivial negative class at {delta}"
+            )
+        self.h = self.h_plus if self.tau == self.principal else self.h_plus // 2
 
     def _build_imaginary(self):
+        # Forms come out sorted by (a, b), each its own cycle; the principal
+        # form (1, delta % 2, ...) comes first.
         delta = self.delta
         self.w = 0
         A: list[int] = []
@@ -427,41 +429,42 @@ class _ClassData:
         amax = math.isqrt(-delta // 3)
         for a in range(1, amax + 1):
             for b in range(-a + 1, a + 1):
-                if (b - delta) % 2:
-                    continue
                 num = b * b - delta
                 if num % (4 * a):
                     continue
                 c = num // (4 * a)
-                if c < a:
-                    continue
-                if b < 0 and (a == c or -b == a):
-                    continue
-                if math.gcd(a, b, c) != 1:
+                if c < a or b < 0 and (a == c or -b == a) or math.gcd(a, b, c) != 1:
                     continue
                 A.append(a)
                 B.append(b)
                 C.append(c)
         nf = len(A)
-        self.stride = 4 * (amax + 2)
-        self.index = {}
-        forms = sorted((A[i], B[i], C[i]) for i in range(nf))
-        self.forms_a = [f[0] for f in forms]
-        self.forms_b = [f[1] for f in forms]
-        self.forms_c = [f[2] for f in forms]
-        for i, f in enumerate(forms):
-            self.index[self._neg_key(f[0], f[1])] = i
-        self.orbit = list(range(nf))
-        self.pos_rep = forms
-        self.canon = forms
+        # -amax < b <= amax, so keys of distinct forms differ.
+        stride = self.stride = 2 * amax + 3
+        self.index = {A[i] * stride + B[i]: i for i in range(nf)}
+        self.forms_a, self.forms_b, self.forms_c = A, B, C
+        self.orbit = self.walk = list(range(nf))
+        self.starts = list(range(nf + 1))
         self.h_plus = self.h = nf
-        p = principal_form(delta)
-        self.principal = self.index[self._neg_key(p.a, p.b)]
-        self.tau = self.principal
-        self.ratio_one = True
+        self.principal = self.tau = 0
 
-    def _neg_key(self, a: int, b: int) -> int:
-        return a * self.stride + (b + 2 * self.stride)
+    # -- cross-checks ----------------------------------------------------
+
+    def check_unit_norm(self, norm: int) -> None:
+        # h+ = h exactly when the fundamental unit has norm -1.
+        if (self.h_plus == self.h) != (norm == -1):
+            raise ArithmeticError(
+                f"narrow/wide ratio disagrees with unit norm at delta={self.delta}"
+            )
+
+    def check_genus_order(self, order: int) -> bool:
+        # 2-torsion by squares, which holds exactly when h+ = 2**(mu-1).
+        by_squares = self.is_two_torsion_narrow()
+        if by_squares != (self.h_plus == order):
+            raise ArithmeticError(
+                f"genus order and 2-torsion test disagree at delta={self.delta}"
+            )
+        return by_squares
 
     # -- class arithmetic ------------------------------------------------
 
@@ -476,9 +479,13 @@ class _ClassData:
             if a < 0:
                 _, nb, nc = _rho_step(self.delta, self.w, b, c)
                 a, b, c = c, nb, nc
-            return self.orbit[self.index[a * self.stride + b]]
-        a, b, c = _reduce_definite(a, b, c)
-        return self.orbit[self.index[self._neg_key(a, b)]]
+        else:
+            a, b, c = _reduce_definite(a, b, c)
+        return self.orbit[self.index[a * self.stride + b]]
+
+    def rep(self, oid: int) -> tuple[int, int, int]:
+        j = self.walk[self.starts[oid]]
+        return self.forms_a[j], self.forms_b[j], self.forms_c[j]
 
     def compose_ids(self, i: int, j: int) -> int:
         if j < i:
@@ -487,7 +494,7 @@ class _ClassData:
         key = (i, j)
         got = memo.get(key)
         if got is None:
-            raw = _compose_raw(self.pos_rep[i], self.pos_rep[j])
+            raw = _compose_raw(self.rep(i), self.rep(j))
             got = self.orbit_of(BQF(*raw))
             memo[key] = got
         return got
@@ -557,7 +564,7 @@ class _ClassData:
         return self._invariant_factors(lambda i: i)
 
     def wide_divisors(self) -> tuple[int, ...]:
-        if self.ratio_one:
+        if self.h == self.h_plus:
             return self.narrow_divisors()
         tau = self.tau
         fold = {}
@@ -566,21 +573,26 @@ class _ClassData:
         return self._invariant_factors(lambda i: fold[i])
 
     def cycle_of(self, oid: int) -> list[BQF]:
+        """The forms of cycle oid in rho order, from its least member."""
+        A, B, C = self.forms_a, self.forms_b, self.forms_c
+        run = self.walk[self.starts[oid] : self.starts[oid + 1]]
         if self.delta < 0:
-            return [BQF(*self.pos_rep[oid])]
-        delta, w = self.delta, self.w
-        start = BQF(*self.canon[oid])
-        out = [start]
-        _, b, c = start
-        while True:
-            a = c
-            _, b, c = _rho_step(delta, w, b, c)
-            if a == start.a and b == start.b:
-                return out
-            out.append(BQF(a, b, c))
+            return [BQF(A[j], B[j], C[j]) for j in run]
+        # Between walked forms j and k sits rho(j) = (C[j], nb, A[k]).
+        w = self.w
+        out = []
+        for j, k in zip(run, run[1:] + run[:1]):
+            c = C[j]
+            out.append(BQF(A[j], B[j], c))
+            out.append(BQF(c, w - (w + B[j]) % (-c - c), A[k]))
+        least = out.index(min(out))
+        return out[least:] + out[:least]
 
 
-@lru_cache(maxsize=64)
+# One entry: the callers that reuse class data ask for the same delta back to
+# back (inspect_report, then narrow_classes), while sweeps such as
+# relations.hua_trend never come back to a delta and would only pin memory.
+@lru_cache(maxsize=1)
 def _class_data(delta: int) -> _ClassData:
     return _ClassData(delta)
 
@@ -588,9 +600,7 @@ def _class_data(delta: int) -> _ClassData:
 def enumerate_reduced(delta: int) -> list[BQF]:
     """All primitive reduced forms of the discriminant, sorted."""
     cd = _class_data(delta)
-    forms = [
-        BQF(cd.forms_a[i], cd.forms_b[i], cd.forms_c[i]) for i in range(len(cd.forms_a))
-    ]
+    forms = list(map(BQF, cd.forms_a, cd.forms_b, cd.forms_c))
     if delta > 0:
         forms += [BQF(-f.a, f.b, -f.c) for f in forms]
     return sorted(forms)
@@ -603,9 +613,7 @@ def narrow_classes(delta: int) -> list[list[BQF]]:
     follows rho order; parts are sorted by canonical representative.
     """
     cd = _class_data(delta)
-    parts = [cd.cycle_of(oid) for oid in range(cd.h_plus)]
-    parts.sort(key=lambda part: part[0])
-    return parts
+    return sorted(map(cd.cycle_of, range(cd.h_plus)))
 
 
 def narrow_class_number(delta: int) -> int:
@@ -621,7 +629,7 @@ def compose(f: BQF, g: BQF, delta: int) -> BQF:
     cd = _class_data(delta)
     i = cd.orbit_of(BQF(*f))
     j = cd.orbit_of(BQF(*g))
-    return BQF(*cd.canon[cd.compose_ids(i, j)])
+    return cd.cycle_of(cd.compose_ids(i, j))[0]
 
 
 def narrow_class_group(delta: int) -> ClassGroupStructure:
@@ -638,9 +646,5 @@ def wide_class_group(delta: int) -> ClassGroupStructure:
     """
     cd = _class_data(delta)
     if delta > 0:
-        expected_ratio = 1 if cfrac.fundamental_unit(delta).norm == -1 else 2
-        if cd.h_plus != expected_ratio * cd.h:
-            raise ArithmeticError(
-                f"narrow/wide ratio disagrees with unit norm at delta={delta}"
-            )
+        cd.check_unit_norm(cfrac.fundamental_unit(delta).norm)
     return ClassGroupStructure(cd.h, cd.wide_divisors(), WIDE)

@@ -53,13 +53,7 @@ def one_class_per_genus(delta: int) -> bool:
     since the two routes must agree.
     """
     cd = _class_data(delta)
-    by_squares = cd.is_two_torsion_narrow()
-    by_counts = cd.h_plus == 1 << (_mu(delta, cd.desc.pairs) - 1)
-    if by_squares != by_counts:
-        raise ArithmeticError(
-            f"genus order and 2-torsion test disagree at delta={delta}"
-        )
-    return by_squares
+    return cd.check_genus_order(1 << (_mu(delta, cd.desc.pairs) - 1))
 
 
 def _narrow_odd(delta: int, pairs) -> bool:

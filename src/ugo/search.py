@@ -21,7 +21,8 @@ class data.
 Scan rows, the 2-torsion filters and `inspect` share one builder,
 `_invariants`, fed by the class data, which carries the discriminant record
 (`orders.decompose`, which factors delta once), and the fundamental unit;
-it checks h+/h against the unit norm and h+ against 2**(mu-1).
+it runs the class data's two cross-checks, h+/h against the unit norm and
+h+ against 2**(mu-1).
 
 The verification suites split their range into chunks for the same runner
 and one merge.  The parity and genus suites take equal ranges of delta and
@@ -42,14 +43,14 @@ import logging
 import math
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import islice
 from multiprocessing import Pool
 from operator import itemgetter
 
 from . import cfrac, forms, genus, relations
-from .forms import _ClassData, _class_data
+from .forms import _ClassData, _class_data, divisor_chain
 from .genus import EVEN, ODD
 from .intarith import MAX_INPUT, is_discriminant, spf_table
 from .orders import (
@@ -72,11 +73,6 @@ FILTER_TTW = "two-torsion-wide"
 FILTER_TTN = "two-torsion-narrow"
 FILTER_MAXIMAL = "maximal-only"
 FILTERS = (FILTER_ALL, FILTER_H1, FILTER_TTW, FILTER_TTN, FILTER_MAXIMAL)
-
-CSV_HEADER = (
-    "family,n,delta,f,delta0,h,h_plus,cl,cl_plus,unit_norm,regulator,"
-    "mu,genus_order,maximal,rd_row,one_class_per_genus,two_torsion_wide"
-)
 
 _CHECKPOINT_EVERY = 256
 # verify group-axioms: class triples tried per delta, and the sampling seed.
@@ -146,26 +142,40 @@ class TableRow:
     two_torsion_wide: bool
 
     def csv_line(self) -> str:
-        return (
-            f"{self.family},{self.n},{self.delta},{self.f},{self.delta0},"
-            f"{self.h},{self.h_plus},{_chain(self.cl)},{_chain(self.cl_plus)},"
-            f"{self.unit_norm},{self.regulator:.12g},{self.mu},{self.genus_order},"
-            f"{_b(self.maximal)},{self.rd_row or ''},"
-            f"{_b(self.one_class_per_genus)},{_b(self.two_torsion_wide)}"
-        )
+        return ",".join("" if v is None else _text(v) for v in self._values())
 
     def json_line(self) -> str:
-        rd = f'"{self.rd_row}"' if self.rd_row else "null"
-        return (
-            f'{{"family":"{self.family}","n":{self.n},"delta":{self.delta},'
-            f'"f":{self.f},"delta0":{self.delta0},"h":{self.h},"h_plus":{self.h_plus},'
-            f'"cl":"{_chain(self.cl)}","cl_plus":"{_chain(self.cl_plus)}",'
-            f'"unit_norm":{self.unit_norm},"regulator":{self.regulator:.12g},'
-            f'"mu":{self.mu},"genus_order":{self.genus_order},'
-            f'"maximal":{_b(self.maximal)},"rd_row":{rd},'
-            f'"one_class_per_genus":{_b(self.one_class_per_genus)},'
-            f'"two_torsion_wide":{_b(self.two_torsion_wide)}}}'
-        )
+        return "{" + ",".join(
+            f'"{k}":{_json(v)}' for k, v in zip(_ROW_FIELDS, self._values())
+        ) + "}"
+
+    def _values(self):
+        return [getattr(self, k) for k in _ROW_FIELDS]
+
+
+# The row format, one rule per field type: CSV and JSONL columns follow the
+# TableRow fields in order; None is empty in CSV and null in JSON, and text
+# and divisor chains are quoted in JSON.
+_ROW_FIELDS = tuple(f.name for f in fields(TableRow))
+CSV_HEADER = ",".join(_ROW_FIELDS)
+
+
+def _text(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    if isinstance(v, tuple):
+        return divisor_chain(v)
+    return str(v)
+
+
+def _json(v) -> str:
+    if v is None:
+        return "null"
+    if isinstance(v, (str, tuple)):
+        return f'"{_text(v)}"'
+    return _text(v)
 
 
 @dataclass(frozen=True)
@@ -180,14 +190,6 @@ class RowError:
 class ScanResult:
     rows_written: int
     errors: list[RowError] = field(default_factory=list)
-
-
-def _chain(divisors: tuple[int, ...]) -> str:
-    return "x".join(str(d) for d in divisors) if divisors else "1"
-
-
-def _b(x: bool) -> str:
-    return "true" if x else "false"
 
 
 def family_discriminant(family: str, n: int) -> int | None:
@@ -217,11 +219,9 @@ def _invariants(cd: _ClassData, eps: cfrac.QuadUnit | None) -> dict:
     delta = desc.delta
     mu = genus._mu(delta, desc.pairs)
     genus_order = 1 << (mu - 1)
-    if eps and (cd.h_plus == cd.h) != (eps.norm == -1):
-        raise ArithmeticError(f"narrow/wide ratio disagrees with unit norm at delta={delta}")
-    ocpg = cd.is_two_torsion_narrow()
-    if ocpg != (cd.h_plus == genus_order):
-        raise ArithmeticError(f"genus order inconsistency at delta={delta}")
+    if eps:
+        cd.check_unit_norm(eps.norm)
+    ocpg = cd.check_genus_order(genus_order)
     rd = desc.rd_class() if eps else None
     cl_plus = cd.narrow_divisors()
     return dict(
@@ -537,7 +537,7 @@ def _axioms_chunk(deltas: list[int]):
             j = rng.choice(ids)
             k = rng.choice(ids)
             checked += 1
-            a, b, c = cd.pos_rep[i]
+            a, b, c = cd.rep(i)
             ij = cd.compose_ids(i, j)
             if cd.compose_ids(ident, i) != i:
                 law = "identity law"
@@ -645,8 +645,8 @@ def inspect_report(delta: int) -> dict:
         "maximal": inv["maximal"],
         "h": inv["h"],
         "h_plus": inv["h_plus"],
-        "cl": _chain(inv["cl"]),
-        "cl_plus": _chain(inv["cl_plus"]),
+        "cl": divisor_chain(inv["cl"]),
+        "cl_plus": divisor_chain(inv["cl_plus"]),
         "mu": inv["mu"],
         "genus_order": inv["genus_order"],
         "one_class_per_genus": inv["one_class_per_genus"],
@@ -664,7 +664,6 @@ def inspect_report(delta: int) -> dict:
     else:
         report["unit"] = None
     report["rd_row"] = inv["rd_row"]
-    report["classes"] = [
-        [list(f) for f in cyc] for cyc in forms.narrow_classes(delta)
-    ]
+    # json.dumps writes each BQF tuple as an array.
+    report["classes"] = forms.narrow_classes(delta)
     return report

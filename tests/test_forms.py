@@ -206,6 +206,22 @@ def test_every_reduced_form_in_exactly_one_cycle():
                 assert rho(f, delta) in part
 
 
+def test_narrow_classes_order():
+    # The listing `inspect` prints: each part from its least member in rho
+    # order, parts ascending, and compose returns a part's first member.
+    for delta in [*valid_discriminants(3000), -3, -4, -23, -47, -84]:
+        parts = narrow_classes(delta)
+        firsts = [part[0] for part in parts]
+        assert firsts == sorted(set(firsts)), delta
+        one = principal_form(delta)
+        for part in parts:
+            assert part[0] == min(part), delta
+            if delta > 0:
+                assert [rho(f, delta) for f in part] == part[1:] + part[:1], delta
+            for f in part:
+                assert compose(f, one, delta) == part[0], (delta, f)
+
+
 def test_class_witness_is_exact():
     # A witness is a proof: for each (square, wide) variant it must imply,
     # in order, h > 1, h+ > 1, a wide group and a narrow group that are not

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
 
-from ugo import relations
+from ugo import forms, relations
 from ugo.relations import (
     ConductorFormulaReport,
     bounded_family_statistic,
@@ -101,3 +102,18 @@ def _is_5f2(delta):
 def test_bounded_family_validation():
     with pytest.raises(ValueError):
         bounded_family_statistic(4, [("minus", 1)])
+
+
+def test_hua_trend_memory_stays_flat():
+    # A sweep never returns to a delta, so the class data of one sample must
+    # not outlive the next.  One class data near delta = 10**8 takes about
+    # 1 MB; keeping all 30 would peak past 25 MB.
+    forms._class_data.cache_clear()
+    tracemalloc.start()
+    try:
+        rows, _ = hua_trend([("plus", n) for n in range(10**4, 10**4 + 30)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 30
+    assert peak < 8 * 2**20
