@@ -234,6 +234,11 @@ def unit_index(delta0: int, delta: int) -> int:
     f = math.isqrt(delta // delta0)
     if f * f * delta0 != delta:
         raise ValueError(f"{delta} is not of the form f**2*{delta0}")
+    return _unit_index(delta0, f)
+
+
+def _unit_index(delta0: int, f: int) -> int:
+    # unit_index for a fundamental delta0 > 0 and f >= 1, unchecked.
     if f == 1:
         return 1
     eps = fundamental_unit(delta0)

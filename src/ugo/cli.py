@@ -185,6 +185,10 @@ def _cmd_verify(args) -> int:
         return _usage_error(
             "verify", f"--max-delta {bound} is below 5, the smallest real discriminant"
         )
+    elif suite in ("parity", "conductor") and bound > search.MAX_SWEEP_DELTA:
+        return _usage_error(
+            "verify", f"--max-delta {bound} exceeds {search.MAX_SWEEP_DELTA}, the {suite} limit"
+        )
     if args.max_n < 1:
         return _usage_error("verify", f"--max-n {args.max_n} is below 1")
     if args.jobs < 1:

@@ -575,16 +575,17 @@ class _ClassData:
     def cycle_of(self, oid: int) -> list[BQF]:
         """The forms of cycle oid in rho order, from its least member."""
         A, B, C = self.forms_a, self.forms_b, self.forms_c
+        make = BQF._make
         run = self.walk[self.starts[oid] : self.starts[oid + 1]]
         if self.delta < 0:
-            return [BQF(A[j], B[j], C[j]) for j in run]
+            return [make((A[j], B[j], C[j])) for j in run]
         # Between walked forms j and k sits rho(j) = (C[j], nb, A[k]).
         w = self.w
         out = []
         for j, k in zip(run, run[1:] + run[:1]):
             c = C[j]
-            out.append(BQF(A[j], B[j], c))
-            out.append(BQF(c, w - (w + B[j]) % (-c - c), A[k]))
+            out.append(make((A[j], B[j], c)))
+            out.append(make((c, w - (w + B[j]) % (-c - c), A[k])))
         least = out.index(min(out))
         return out[least:] + out[:least]
 
@@ -600,9 +601,9 @@ def _class_data(delta: int) -> _ClassData:
 def enumerate_reduced(delta: int) -> list[BQF]:
     """All primitive reduced forms of the discriminant, sorted."""
     cd = _class_data(delta)
-    forms = list(map(BQF, cd.forms_a, cd.forms_b, cd.forms_c))
+    forms = list(map(BQF._make, zip(cd.forms_a, cd.forms_b, cd.forms_c)))
     if delta > 0:
-        forms += [BQF(-f.a, f.b, -f.c) for f in forms]
+        forms += [BQF._make((-a, b, -c)) for a, b, c in forms]
     return sorted(forms)
 
 

@@ -4,10 +4,11 @@ The conductor formula predicts h(f**2*delta0) from h(delta0), an exact local
 factor built from Kronecker symbols, and the unit index (Cox, *Primes of the
 form x^2 + ny^2*, Thm 7.24).  `predicted_class_number` is its one
 implementation: `class_number_via_conductor` calls it on validated input, and
-the `verify conductor` suite calls it once per conductor with h(delta0) built
-once per fundamental discriminant.  Comparing the prediction against direct
-cycle enumeration is the strongest inter-module consistency gate in the
-package.
+the `verify conductor` suite calls it once per non-maximal delta with
+h(delta0) from the range sweep of the fundamental discriminants.  Comparing
+the prediction against the class numbers of the sweep (`ugo.sweep`), which
+shares no code with the formula or with the class data, is the strongest
+inter-module consistency gate in the package.
 """
 
 from __future__ import annotations
@@ -73,9 +74,7 @@ def predicted_class_number(delta0: int, f: int, h0: int) -> int:
     The caller guarantees that delta0 is a positive fundamental discriminant
     and f >= 1; a quotient that is not an integer raises ArithmeticError.
     """
-    h, rem = divmod(
-        h0 * local_unit_group_factor(delta0, f), cfrac.unit_index(delta0, f * f * delta0)
-    )
+    h, rem = divmod(h0 * local_unit_group_factor(delta0, f), cfrac._unit_index(delta0, f))
     if rem:
         raise ArithmeticError(
             f"conductor formula gave a non-integer at delta0={delta0}, f={f}"

@@ -25,14 +25,19 @@ it runs the class data's two cross-checks, h+/h against the unit norm and
 h+ against 2**(mu-1).
 
 The verification suites split their range into chunks for the same runner
-and one merge.  The parity and genus suites take equal ranges of delta and
-read the parity shapes, mu and omega from the record of each class data.
-The conductor suite walks fundamental delta0 and then every conductor f >= 2,
-so each h(delta0) is built once, in chunks of equal steps of sqrt(delta0).
-The cf suite takes equal ranges of n, and the group-axioms suite chunks its
-list of sampled delta.  Workers return failures as (delta or n, message),
-and every suite reports the 20 smallest in ascending order, whatever the
-chunking.
+and one merge.  The parity and conductor suites read h+ and h from the
+range sweep (`sweep.class_numbers`) and build no class group; their bound
+is at most MAX_SWEEP_DELTA, and they run ranges of delta of shrinking cost
+from the top down.  The parity suite factors each delta once for its parity
+shapes.  The conductor suite finds the conductor of every delta <=
+max_delta with one sieve over f, then sweeps the fundamental delta0 <=
+max_delta/4 for h(delta0) and, in a second pass, the non-maximal delta,
+each against `relations.predicted_class_number`.  The genus suite takes
+equal ranges of delta, needs squares of classes and reads mu and omega from
+the record of each class data.  The cf suite takes equal ranges of n, and the
+group-axioms suite chunks its list of sampled delta.  Workers return
+failures as (delta or n, message), and every suite reports the 20 smallest
+in ascending order, whatever the chunking.
 """
 
 from __future__ import annotations
@@ -43,24 +48,20 @@ import logging
 import math
 import os
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import islice
 from multiprocessing import Pool
 from operator import itemgetter
 
-from . import cfrac, forms, genus, relations
+import numpy as np
+
+from . import cfrac, forms, genus, relations, sweep
 from .forms import _ClassData, _class_data, divisor_chain
 from .genus import EVEN, ODD
-from .intarith import MAX_INPUT, is_discriminant, spf_table
-from .orders import (
-    MINUS,
-    PLUS,
-    UnitGeneratedParam,
-    decompose,
-    classify_unit_generated,
-    is_fundamental_discriminant,
-)
+from .intarith import MAX_INPUT, factor, is_discriminant, spf_table
+from .orders import MINUS, PLUS, UnitGeneratedParam, decompose, classify_unit_generated
 
 log = logging.getLogger(__name__)
 
@@ -80,6 +81,14 @@ _AXIOM_TRIALS = 21
 _AXIOM_SEED = 1
 _MAX_FAILURES = 20
 _PREBUILT_MAX = 1 << 23
+# The largest bound of the two swept suites, parity and conductor.  At it
+# the conductor suite keeps an int16 conductor for every integer and an
+# int32 h(delta0) for every delta0 up to a quarter of it, 30 MB, and each
+# worker's sweep holds a 20 MB table of square roots.
+MAX_SWEEP_DELTA = 10**7
+# One conductor-formula check costs about as much as the sweep spends on
+# 100 units of sqrt(delta) (about 30 us against 0.3 us at delta <= 1.5*10**5).
+_CHECK_COST = 100.0
 
 
 @dataclass(frozen=True)
@@ -450,22 +459,22 @@ def _smallest_failures(failures):
 
 
 def _parity_chunk(bounds: tuple[int, int]):
-    checked = 0
+    deltas = list(_valid_deltas(*bounds))
+    h_plus, h = sweep.class_numbers(deltas)
     failures = []
-    for delta in _valid_deltas(*bounds):
-        cd = _ClassData(delta)
-        checked += 1
-        narrow_odd = genus._narrow_odd(delta, cd.desc.pairs)
-        if (cd.h_plus % 2 == 1) != narrow_odd:
-            failures.append((delta, f"narrow parity wrong at delta={delta} (h+={cd.h_plus})"))
-        if (cd.h % 2 == 1) != genus._wide_odd(delta, cd.desc.pairs):
-            failures.append((delta, f"wide parity wrong at delta={delta} (h={cd.h})"))
+    for delta, hp, hw in zip(deltas, h_plus.tolist(), h.tolist()):
+        pairs = factor(delta).pairs
+        narrow_odd = genus._narrow_odd(delta, pairs)
+        if (hp % 2 == 1) != narrow_odd:
+            failures.append((delta, f"narrow parity wrong at delta={delta} (h+={hp})"))
+        if (hw % 2 == 1) != genus._wide_odd(delta, pairs):
+            failures.append((delta, f"wide parity wrong at delta={delta} (h={hw})"))
         norm = cfrac.fundamental_unit(delta).norm
-        if (cd.h_plus == cd.h) != (norm == -1):
+        if (hp == hw) != (norm == -1):
             failures.append((delta, f"h+/h ratio disagrees with unit norm at delta={delta}"))
         if narrow_odd and norm != -1:
             failures.append((delta, f"narrow-odd discriminant {delta} has norm +1 unit"))
-    return checked, _smallest_failures(failures)
+    return len(deltas), _smallest_failures(failures)
 
 
 def _genus_chunk(bounds: tuple[int, int]):
@@ -491,24 +500,20 @@ def _genus_chunk(bounds: tuple[int, int]):
     return checked, _smallest_failures(failures)
 
 
-def _conductor_chunk(bounds: tuple[int, int, int]):
-    # Every non-maximal delta <= max_delta is f**2 * delta0 for exactly one
-    # fundamental delta0 <= max_delta / 4 and conductor f >= 2, so walking
-    # delta0 and then f checks the same set as walking delta, building each
-    # h(delta0) once instead of once per conductor.
-    lo, hi, max_delta = bounds
-    checked = 0
+def _class_number_chunk(deltas: np.ndarray):
+    return deltas, sweep.class_numbers(deltas)[1]
+
+
+def _conductor_chunk(chunk: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    # Non-maximal delta = f**2 * delta0 with their conductors f and the
+    # class numbers h0 = h(delta0) of the first pass.
+    deltas, conductors, h0s = chunk
+    hs = sweep.class_numbers(deltas)[1]
     failures = []
-    for delta0 in range(lo, hi + 1):
-        if not is_fundamental_discriminant(delta0):
-            continue
-        h0 = _ClassData(delta0).h
-        for f in range(2, math.isqrt(max_delta // delta0) + 1):
-            delta = f * f * delta0
-            checked += 1
-            if relations.predicted_class_number(delta0, f, h0) != _ClassData(delta).h:
-                failures.append((delta, f"conductor formula mismatch at delta={delta}"))
-    return checked, _smallest_failures(failures)
+    for delta, f, h0, h in zip(deltas.tolist(), conductors.tolist(), h0s.tolist(), hs.tolist()):
+        if relations.predicted_class_number(delta // (f * f), f, h0) != h:
+            failures.append((delta, f"conductor formula mismatch at delta={delta}"))
+    return len(deltas), _smallest_failures(failures)
 
 
 def _cf_chunk(bounds: tuple[int, int]):
@@ -560,19 +565,38 @@ def _ranges(lo: int, hi: int, jobs: int, least: int) -> list[tuple[int, int]]:
     return [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
 
 
-def _delta0_chunks(max_delta: int, jobs: int) -> list[tuple[int, int, int]]:
-    # Equal steps of sqrt(delta0): one delta0 costs about sum over f of
-    # sqrt(f**2 * delta0), that is max_delta / sqrt(delta0), so each step
-    # carries about the same work.  The top steps also build the largest
-    # h(delta0) and cost up to twice as much, so the chunks are returned
-    # from the top down: a pool ends on its lightest chunks, and the time
-    # one worker waits for the other at the end stays short whichever
-    # worker draws which chunk.
-    top = max_delta // 4
-    n = max(jobs, 1) * 16
-    edges = sorted({top * k * k // (n * n) for k in range(n + 1)})
-    chunks = [(max(a + 1, 5), b, max_delta) for a, b in zip(edges, edges[1:]) if b >= 5]
-    return chunks[::-1]
+def _conductors(max_delta: int) -> np.ndarray:
+    # The conductor of every discriminant delta <= max_delta, 0 at the other
+    # integers: the largest f with f*f | delta and delta/f**2 = 0, 1 (mod 4),
+    # so one sieve over f in ascending order sets it without factoring.
+    cond = np.zeros(max_delta + 1, dtype=np.int16)
+    cond[0::4] = cond[1::4] = 1
+    for f in range(2, math.isqrt(max_delta // 5) + 1):
+        ff = f * f
+        cond[5 * ff :: 4 * ff] = cond[8 * ff :: 4 * ff] = f
+    cond[np.arange(math.isqrt(max_delta) + 1) ** 2] = 0
+    return cond
+
+
+def _sweep_ranges(lo: int, hi: int, jobs: int, per_delta: float) -> list[tuple[int, int]]:
+    # Ranges of [lo, hi] from the top down, of shrinking cost.  The sweep
+    # costs about sqrt(delta) per discriminant and a check per_delta more,
+    # so [5, x] costs about cost(x) below.  Each range takes 1/(4*jobs) of
+    # the cost left, and at least 1/(64*jobs) of the whole, so a pool ends
+    # on light ranges and no worker waits long for the other at the end.
+    def cost(x: int) -> float:
+        return x * (math.sqrt(x) * 2 / 3 + per_delta)
+
+    jobs = max(jobs, 1)
+    xs = range(lo - 1, hi + 1)
+    least = (cost(hi) - cost(lo - 1)) / (64 * jobs)
+    ranges = []
+    while hi >= lo:
+        share = max((cost(hi) - cost(lo - 1)) / (4 * jobs), least)
+        x = min(xs[max(bisect_right(xs, cost(hi) - share, key=cost) - 1, 0)], hi - 1)
+        ranges.append((x + 1, hi))
+        hi = x
+    return ranges
 
 
 def _verify(suite: str, worker, chunks: list, jobs: int, max_delta: int) -> VerifyReport:
@@ -583,9 +607,16 @@ def _verify(suite: str, worker, chunks: list, jobs: int, max_delta: int) -> Veri
     return VerifyReport(suite, sum(r[0] for r in results), [m for _, m in failures])
 
 
+def _check_sweep_bound(max_delta: int) -> None:
+    if max_delta > MAX_SWEEP_DELTA:
+        raise ValueError(f"max_delta {max_delta} exceeds {MAX_SWEEP_DELTA}")
+
+
 def verify_parity(max_delta: int, jobs: int = 1) -> VerifyReport:
-    """Predicates vs enumerated parities for all 0 < delta <= max_delta."""
-    chunks = _ranges(5, max_delta, jobs, 1000)
+    """Predicates vs swept parities for all 0 < delta <= max_delta."""
+    _check_sweep_bound(max_delta)
+    # A check walks the principal cycle, which also grows like sqrt(delta).
+    chunks = _sweep_ranges(5, max_delta, jobs, 0.0)
     return _verify("parity", _parity_chunk, chunks, jobs, max_delta)
 
 
@@ -596,9 +627,25 @@ def verify_genus(max_delta: int, jobs: int = 1) -> VerifyReport:
 
 
 def verify_conductor(max_delta: int, jobs: int = 1) -> VerifyReport:
-    """Conductor-formula prediction vs enumeration for all non-maximal
-    orders with delta <= max_delta, building each h(delta0) once."""
-    chunks = _delta0_chunks(max_delta, jobs)
+    """Conductor-formula prediction vs the sweep for all non-maximal orders
+    with delta <= max_delta: one sweep pass for the fundamental delta0 <=
+    max_delta/4, then one for the non-maximal delta."""
+    _check_sweep_bound(max_delta)
+    cond = _conductors(max_delta)
+    h0 = np.zeros(max_delta // 4 + 1, dtype=np.int32)
+    fundamental = (
+        np.flatnonzero(cond[lo : hi + 1] == 1) + lo
+        for lo, hi in _sweep_ranges(5, max_delta // 4, jobs, 0.0)
+    )
+    for delta0s, h in _run(_class_number_chunk, fundamental, jobs, max_delta):
+        h0[delta0s] = h
+
+    def checks(lo: int, hi: int):
+        deltas = np.flatnonzero(cond[lo : hi + 1] > 1) + lo
+        f = cond[deltas].astype(np.int64)
+        return deltas, f, h0[deltas // (f * f)]
+
+    chunks = (checks(lo, hi) for lo, hi in _sweep_ranges(5, max_delta, jobs, _CHECK_COST))
     return _verify("conductor", _conductor_chunk, chunks, jobs, max_delta)
 
 

@@ -1,9 +1,10 @@
 """Acceptance gate: every criterion at its stated bound, one line per result.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The heavy sweeps use up
-to four worker processes; on a two-core machine the module takes about three
-and a half minutes (208 s on a 2-vCPU VM), most of it in the conductor sweep
-(criterion 5, 133-162 s).  Every run lists its ten slowest tests.
+to four worker processes; on a two-core machine the module takes under a
+minute (51 s on a 2-vCPU VM), about half of it in criterion 5 (24 s), where
+the range sweep of `ugo.sweep` supplies every class number.  Every run lists
+its ten slowest tests.
 """
 
 import functools
@@ -146,14 +147,14 @@ def test_criterion_4_chowla_family():
     assert [r.delta for r in rows] == CHOWLA_H1
 
 
-@criterion(5, "conductor formula = enumeration for every non-maximal delta <= 10^6")
+@criterion(5, "conductor formula = range sweep for every non-maximal delta <= 10^6")
 def test_criterion_5_conductor_formula_exhaustive():
     report = search.verify_conductor(10**6, jobs=JOBS)
     assert report.passed, report.failures
     assert report.checked == 195043
 
 
-@criterion(6, "parity predicates and genus order match enumeration, delta <= 10^5")
+@criterion(6, "parity predicates match the sweep, genus order enumeration, delta <= 10^5")
 def test_criterion_6_parity_and_genus_exhaustive():
     parity = search.verify_parity(10**5, jobs=JOBS)
     assert parity.passed, parity.failures

@@ -1,7 +1,13 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every module it imports is the standard library, ugo or a declared
+dependency."""
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import ugo
 
@@ -29,3 +35,26 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     unused = [u for path in sorted(SRC.glob("*.py")) for u in _unused_imports(path)]
     assert unused == []
+
+
+def _declared_dependencies() -> set[str]:
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    text = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    deps = tomllib.loads(text)["project"]["dependencies"]
+    names = (re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps)
+    return {name.lower().replace("-", "_") for name in names}
+
+
+def test_imports_are_stdlib_ugo_or_declared():
+    allowed = set(sys.stdlib_module_names) | {"ugo"} | _declared_dependencies()
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno}: {top}" for top in tops if top not in allowed]
+    assert foreign == []

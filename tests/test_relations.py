@@ -37,7 +37,7 @@ def test_predicted_class_number(monkeypatch):
     assert predicted_class_number(5, 2, 1) == 1
     assert predicted_class_number(5, 10, 1) == class_number_via_conductor(5, 10).h_predicted
     # The unit index always divides the local factor; a wrong one must raise.
-    monkeypatch.setattr(relations.cfrac, "unit_index", lambda delta0, delta: 4)
+    monkeypatch.setattr(relations.cfrac, "_unit_index", lambda delta0, f: 4)
     with pytest.raises(ArithmeticError, match="non-integer"):
         predicted_class_number(5, 2, 1)
 

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ugo import cfrac, cli, forms, genus, intarith, relations, search
+from ugo import cfrac, cli, forms, genus, intarith, relations, search, sweep
 from ugo.forms import _ClassData, class_witness
 from ugo.orders import decompose, is_discriminant
 from ugo.search import (
@@ -425,6 +425,8 @@ def test_cli_usage_error_exit_code(tmp_path):
         ("scan", "--n-max", "5", "--checkpoint", str(old_format), "--out", out),
         ("verify", "conductor", "--max-delta", "200", "--jobs", "-3"),
         ("verify", "conductor", "--max-delta", "200", "--jobs", "0"),
+        ("verify", "conductor", "--max-delta", str(search.MAX_SWEEP_DELTA + 1)),
+        ("verify", "parity", "--max-delta", "100000000000"),
         ("verify", "cf", "--max-n", "0"),
         ("verify", "cf", "--max-n", "-5"),
         ("stats", "bounded", "--delta0-max", "4", "--n-min", "1", "--n-max", "10"),
@@ -454,7 +456,9 @@ def test_each_module_imports_first():
     )
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_CLI_ENV)
     assert r.returncode == 0, r.stderr
-    modules = ("cfrac", "cli", "forms", "genus", "intarith", "orders", "relations", "search")
+    modules = (
+        "cfrac", "cli", "forms", "genus", "intarith", "orders", "relations", "search", "sweep",
+    )
     assert r.stdout.split() == [f"ugo.{m}" for m in modules]
 
 
@@ -487,23 +491,26 @@ NON_MAXIMAL_TO_5000 = [
 
 
 def test_verify_conductor_builds_each_delta0_once(monkeypatch):
+    # h(delta0) comes from the sweep, once per fundamental delta0: the suite
+    # builds no class group, and its two sweep passes ask for exactly the
+    # 914 non-maximal delta and their delta0, each once.
     built = []
-    real_init = _ClassData.__init__
+    swept = []
+    real_sweep = sweep.class_numbers
 
-    def spy(self, delta):
-        built.append(delta)
-        real_init(self, delta)
+    def spy(deltas):
+        swept.extend(deltas.tolist())
+        return real_sweep(deltas)
 
-    monkeypatch.setattr(_ClassData, "__init__", spy)
+    monkeypatch.setattr(_ClassData, "__init__", lambda self, delta: built.append(delta))
+    monkeypatch.setattr(sweep, "class_numbers", spy)
     report = search.verify_conductor(5000)
     assert report.passed, report.failures
     assert len(NON_MAXIMAL_TO_5000) == report.checked == 914
-    counts = Counter(built)
-    assert max(counts.values()) == 1
-    checked = {d for d in counts if decompose(d).conductor > 1}
-    fundamental = {d for d in counts if decompose(d).conductor == 1}
-    assert checked == set(NON_MAXIMAL_TO_5000)
-    assert fundamental == {decompose(d).delta0 for d in NON_MAXIMAL_TO_5000}
+    assert built == []
+    assert max(Counter(swept).values()) == 1
+    delta0s = {decompose(d).delta0 for d in NON_MAXIMAL_TO_5000}
+    assert set(swept) == set(NON_MAXIMAL_TO_5000) | delta0s
 
 
 def test_verify_conductor_reports_smallest_failures(monkeypatch, capsys):
