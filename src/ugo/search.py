@@ -470,7 +470,7 @@ def _parity_chunk(bounds: tuple[int, int]):
         if (hw % 2 == 1) != genus._wide_odd(delta, pairs):
             failures.append((delta, f"wide parity wrong at delta={delta} (h={hw})"))
         norm = cfrac.fundamental_unit(delta).norm
-        if (hp == hw) != (norm == -1):
+        if not forms.unit_norm_agrees(hp, hw, norm):
             failures.append((delta, f"h+/h ratio disagrees with unit norm at delta={delta}"))
         if narrow_odd and norm != -1:
             failures.append((delta, f"narrow-odd discriminant {delta} has norm +1 unit"))

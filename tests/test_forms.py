@@ -12,6 +12,8 @@ from ugo.forms import (
     ClassGroupStructure,
     _class_data,
     _ClassData,
+    _compose_raw,
+    _square_raw,
     class_number,
     class_witness,
     compose,
@@ -371,6 +373,50 @@ def test_corrupted_composition_raises(delta, wide):
     cd._compose_memo[(x, x)] = x  # claim x * x = x for a nontrivial class x
     with pytest.raises(ArithmeticError):
         cd.wide_divisors() if wide else cd.narrow_divisors()
+
+
+def test_square_by_duplication_matches_composition():
+    # Every reduced form with a > 0 at 5 <= |delta| <= 5000, both signs; the
+    # non-fundamental delta give forms with gcd(a, b) > 1.
+    checked = shared = 0
+    for d in range(5, 5001):
+        for delta in (d, -d):
+            if delta % 4 not in (0, 1) or delta > 0 and math.isqrt(delta) ** 2 == delta:
+                continue
+            cd = _ClassData(delta)
+            for f in zip(cd.forms_a, cd.forms_b, cd.forms_c):
+                square = cd.orbit_of(BQF(*_square_raw(*f)))
+                assert square == cd.orbit_of(BQF(*_compose_raw(f, f))), (delta, f)
+                checked += 1
+                shared += math.gcd(f[0], f[1]) > 1
+    assert checked > 100000 and shared > 10000
+
+
+def test_tau_fold_by_negation_matches_composition():
+    seen = 0
+    for delta in valid_discriminants(20000):
+        cd = _ClassData(delta)
+        if cd.h == cd.h_plus:
+            continue
+        seen += 1
+        tau = cd.rep(cd.tau)
+        for i in range(cd.h_plus):
+            by_composition = cd.orbit_of(BQF(*_compose_raw(cd.rep(i), tau)))
+            assert cd.times_tau(i) == by_composition, (delta, i)
+    assert seen > 2000
+
+
+@pytest.mark.parametrize("delta", [60, 221, 22356, 28212, 68640])
+def test_structure_composition_counts(delta):
+    # The wide quotient costs no composition with tau; squares cost one
+    # memo entry per class.
+    cd = _ClassData(delta)
+    assert cd.h != cd.h_plus
+    cd.wide_divisors()
+    assert not [key for key in cd._compose_memo if cd.tau in key and key[0] != key[1]]
+    fresh = _ClassData(delta)
+    fresh.square_ids()
+    assert len(fresh._compose_memo) == fresh.h_plus
 
 
 def test_wide_class_group_structures():
