@@ -185,17 +185,16 @@ def _cmd_verify(args) -> int:
         return _usage_error(
             "verify", f"--max-delta {bound} is below 5, the smallest real discriminant"
         )
-    elif suite in ("parity", "conductor") and bound > search.MAX_SWEEP_DELTA:
-        return _usage_error(
-            "verify", f"--max-delta {bound} exceeds {search.MAX_SWEEP_DELTA}, the {suite} limit"
-        )
     if args.max_n < 1:
         return _usage_error("verify", f"--max-n {args.max_n} is below 1")
     if args.jobs < 1:
         return _usage_error("verify", f"--jobs {args.jobs} is below 1")
     if suite == "cf":
         bound = args.max_n
-    report = search.VERIFY_SUITES[suite](bound, jobs=args.jobs)
+    try:
+        report = search.VERIFY_SUITES[suite](bound, jobs=args.jobs)
+    except search.BoundError as exc:
+        return _usage_error("verify", exc)
     status = "pass" if report.passed else "FAIL"
     print(f"{report.suite}: {status} ({report.checked} checks)")
     if not report.passed:

@@ -22,8 +22,9 @@ outside the principal (and tau) cycle proves the class group nontrivial.
 The class data carries the discriminant record (`orders.decompose`, which
 validates delta and factors it once), records each rho-cycle as its one walk
 meets it, so `narrow_classes` lists the classes without a second walk, and
-holds the two cross-checks of the cycle count: against the unit norm and
-against the genus order.
+holds the two cross-checks of the cycle count, against the unit norm and
+against the genus order, and one of each divisor chain: its even factors
+against the 2-rank mu - 1 of Gauss's genus theory.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import NamedTuple
 from . import cfrac
 from .cfrac import _principal_cycle, _rho_step
 from .intarith import factor, is_discriminant, spf_table, sqrt_mod_prime
-from .orders import decompose
+from .orders import _mu, decompose
 
 NARROW = "narrow"
 WIDE = "wide"
@@ -487,6 +488,18 @@ class _ClassData:
             )
         return by_squares
 
+    def check_two_rank(self, mu: int, divisors: tuple[int, ...], flavor: str) -> None:
+        # Gauss: |Cl+/(Cl+)**2| = 2**(mu-1), so the narrow chain has mu - 1
+        # even factors.  The wide group Cl+/<tau> has as many when tau is a
+        # square and one fewer otherwise.
+        rank = mu - 1
+        if flavor == WIDE and self.tau != self.principal and self.tau not in self.square_ids():
+            rank -= 1
+        if sum(1 for d in divisors if d % 2 == 0) != rank:
+            raise ArithmeticError(
+                f"{flavor} 2-rank disagrees with the genus count at delta={self.delta}"
+            )
+
     # -- class arithmetic ------------------------------------------------
 
     def orbit_of(self, form: BQF) -> int:
@@ -527,9 +540,6 @@ class _ClassData:
         if self._square_ids is None:
             self._square_ids = [self.compose_ids(i, i) for i in range(self.h_plus)]
         return self._square_ids
-
-    def two_torsion_narrow_count(self) -> int:
-        return sum(1 for s in self.square_ids() if s == self.principal)
 
     def is_two_torsion_narrow(self) -> bool:
         return all(s == self.principal for s in self.square_ids())
@@ -663,11 +673,14 @@ def compose(f: BQF, g: BQF, delta: int) -> BQF:
 
 def narrow_class_group(delta: int) -> ClassGroupStructure:
     cd = _class_data(delta)
-    return ClassGroupStructure(cd.h_plus, cd.narrow_divisors(), NARROW)
+    divisors = cd.narrow_divisors()
+    cd.check_two_rank(_mu(delta, cd.desc.pairs), divisors, NARROW)
+    return ClassGroupStructure(cd.h_plus, divisors, NARROW)
 
 
 def wide_class_group(delta: int) -> ClassGroupStructure:
-    """Structure of the wide class group, cross-checked against the unit norm.
+    """Structure of the wide class group, cross-checked against the unit norm
+    and the genus count.
 
     For delta > 0 the narrow-to-wide index must be 1 exactly when the
     fundamental unit has norm -1; disagreement between the form-cycle route
@@ -676,4 +689,6 @@ def wide_class_group(delta: int) -> ClassGroupStructure:
     cd = _class_data(delta)
     if delta > 0:
         cd.check_unit_norm(cfrac.fundamental_unit(delta).norm)
-    return ClassGroupStructure(cd.h, cd.wide_divisors(), WIDE)
+    divisors = cd.wide_divisors()
+    cd.check_two_rank(_mu(delta, cd.desc.pairs), divisors, WIDE)
+    return ClassGroupStructure(cd.h, divisors, WIDE)

@@ -1,12 +1,12 @@
 """Genus-theoretic invariants and class-number parity predicates.
 
 The genus count mu(delta) depends only on the odd primes dividing the
-discriminant and its 2-adic congruence class; the parity predicates are pure
-pattern matches on the factorization.  All of them read the factor pairs of
-the discriminant record (`orders.decompose`): the public functions build it,
-and scan rows, `inspect` and the verify suites pass the pairs their class
-data already carries to `_mu` and the `_odd` helpers instead of factoring
-delta again.
+discriminant and its 2-adic congruence class (`orders._mu`, which `forms`
+also reads for its 2-rank check); the parity predicates are pure pattern
+matches on the factorization.  All of them read factor pairs: the public
+functions build the discriminant record (`orders.decompose`), scan rows and
+`inspect` pass the pairs their class data already carries, and the verify
+suites factor each delta once.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from .cfrac import _check_positive_discriminant
 from .forms import ClassGroupStructure, _class_data
 from .intarith import factor  # noqa: F401  (a binding perfbench/selftest.py checks)
-from .orders import decompose
+from .orders import _mu, decompose
 
 ODD = "odd"
 EVEN = "even"
@@ -24,15 +24,6 @@ MUST_BE_EVEN = "must_be_even"
 def mu(delta: int) -> int:
     """Number of genus characters of the order of discriminant delta."""
     return _mu(delta, decompose(delta).pairs)
-
-
-def _mu(delta: int, pairs) -> int:
-    r = sum(1 for p, _ in pairs if p != 2)
-    if delta % 4 == 1 or delta % 16 == 4:
-        return r
-    if delta % 16 in (8, 12) or delta % 32 == 16:
-        return r + 1
-    return r + 2
 
 
 def genus_group_order(delta: int) -> int:

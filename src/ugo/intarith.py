@@ -253,21 +253,6 @@ def conductor_split(delta: int, pairs) -> tuple[int, int]:
     return (s, f) if s % 4 == 1 else (4 * s, f // 2)
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with a*x + b*y = g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        return -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 @lru_cache(maxsize=1024)
 def sqrt_mod_prime(a: int, p: int) -> int | None:
     """A square root of a modulo prime p, or None if a is a non-residue."""

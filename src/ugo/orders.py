@@ -66,6 +66,16 @@ def decompose(delta: int) -> OrderDescriptor:
     return OrderDescriptor(delta, delta0, f, REAL if delta > 0 else IMAGINARY, pairs)
 
 
+def _mu(delta: int, pairs) -> int:
+    # The genus count of delta from the factor pairs of |delta|.
+    r = sum(1 for p, _ in pairs if p != 2)
+    if delta % 4 == 1 or delta % 16 == 4:
+        return r
+    if delta % 16 in (8, 12) or delta % 32 == 16:
+        return r + 1
+    return r + 2
+
+
 def is_fundamental_discriminant(delta: int) -> bool:
     return is_discriminant(delta) and decompose(delta).conductor == 1
 

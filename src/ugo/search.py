@@ -21,23 +21,22 @@ class data.
 Scan rows, the 2-torsion filters and `inspect` share one builder,
 `_invariants`, fed by the class data, which carries the discriminant record
 (`orders.decompose`, which factors delta once), and the fundamental unit;
-it runs the class data's two cross-checks, h+/h against the unit norm and
-h+ against 2**(mu-1).
+it runs the class data's cross-checks: h+/h against the unit norm, h+
+against 2**(mu-1), and the 2-rank of both chains against mu.
 
 The verification suites split their range into chunks for the same runner
-and one merge.  The parity and conductor suites read h+ and h from the
-range sweep (`sweep.class_numbers`) and build no class group; their bound
-is at most MAX_SWEEP_DELTA, and they run ranges of delta of shrinking cost
-from the top down.  The parity suite factors each delta once for its parity
-shapes.  The conductor suite finds the conductor of every delta <=
+and one merge.  The parity, genus and conductor suites read h+, h and
+|Cl+[2]| from the range sweep (`sweep.class_numbers`) and build no class
+group; a bound past MAX_SWEEP_DELTA raises BoundError before any check, and
+they run ranges of delta of shrinking cost from the top down.  The parity
+and genus suites factor each delta once, for its parity shapes and for mu
+and omega.  The conductor suite finds the conductor of every delta <=
 max_delta with one sieve over f, then sweeps the fundamental delta0 <=
 max_delta/4 for h(delta0) and, in a second pass, the non-maximal delta,
-each against `relations.predicted_class_number`.  The genus suite takes
-equal ranges of delta, needs squares of classes and reads mu and omega from
-the record of each class data.  The cf suite takes equal ranges of n, and the
-group-axioms suite chunks its list of sampled delta.  Workers return
-failures as (delta or n, message), and every suite reports the 20 smallest
-in ascending order, whatever the chunking.
+each against `relations.predicted_class_number`.  The cf suite takes equal
+ranges of n, and the group-axioms suite chunks its list of sampled delta.
+Workers return failures as (delta or n, message), and every suite reports
+the 20 smallest in ascending order, whatever the chunking.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ _AXIOM_TRIALS = 21
 _AXIOM_SEED = 1
 _MAX_FAILURES = 20
 _PREBUILT_MAX = 1 << 23
-# The largest bound of the two swept suites, parity and conductor.  At it
+# The largest bound of the swept suites, parity, genus and conductor.  At it
 # the conductor suite keeps an int16 conductor for every integer and an
 # int32 h(delta0) for every delta0 up to a quarter of it, 30 MB, and each
 # worker's sweep holds a 20 MB table of square roots.
@@ -128,6 +127,10 @@ class CheckpointError(ValueError):
 
 class OutputError(ValueError):
     """An output file that this scan cannot open."""
+
+
+class BoundError(ValueError):
+    """A verify bound past what its suite can run, raised before any check."""
 
 
 @dataclass(frozen=True)
@@ -233,13 +236,16 @@ def _invariants(cd: _ClassData, eps: cfrac.QuadUnit | None) -> dict:
     ocpg = cd.check_genus_order(genus_order)
     rd = desc.rd_class() if eps else None
     cl_plus = cd.narrow_divisors()
+    cl = cl_plus if cd.h == cd.h_plus else cd.wide_divisors()
+    cd.check_two_rank(mu, cl_plus, forms.NARROW)
+    cd.check_two_rank(mu, cl, forms.WIDE)
     return dict(
         delta=delta,
         f=desc.conductor,
         delta0=desc.delta0,
         h=cd.h,
         h_plus=cd.h_plus,
-        cl=cl_plus if cd.h == cd.h_plus else cd.wide_divisors(),
+        cl=cl,
         cl_plus=cl_plus,
         unit_norm=eps.norm if eps else 1,
         regulator=eps.regulator if eps else 0.0,
@@ -460,7 +466,7 @@ def _smallest_failures(failures):
 
 def _parity_chunk(bounds: tuple[int, int]):
     deltas = list(_valid_deltas(*bounds))
-    h_plus, h = sweep.class_numbers(deltas)
+    h_plus, h, _ = sweep.class_numbers(deltas)
     failures = []
     for delta, hp, hw in zip(deltas, h_plus.tolist(), h.tolist()):
         pairs = factor(delta).pairs
@@ -478,26 +484,21 @@ def _parity_chunk(bounds: tuple[int, int]):
 
 
 def _genus_chunk(bounds: tuple[int, int]):
-    checked = 0
+    deltas = list(_valid_deltas(*bounds))
+    two_torsion = sweep.class_numbers(deltas)[2]
     failures = []
-    for delta in _valid_deltas(*bounds):
-        cd = _ClassData(delta)
-        checked += 1
-        # |-delta| = |delta|, so the record's pairs serve both signs.
-        pairs = cd.desc.pairs
+    for delta, count in zip(deltas, two_torsion.tolist()):
+        # |-delta| = |delta|, so the factor pairs serve both signs.
+        pairs = factor(delta).pairs
         expected = 1 << (genus._mu(delta, pairs) - 1)
-        if cd.two_torsion_narrow_count() != expected:
+        if count != expected:
             failures.append(
-                (
-                    delta,
-                    f"|Cl+[2]| != 2^(mu-1) at delta={delta}: "
-                    f"{cd.two_torsion_narrow_count()} vs {expected}",
-                )
+                (delta, f"|Cl+[2]| != 2^(mu-1) at delta={delta}: {count} vs {expected}")
             )
         for d in (delta, -delta):
             if is_discriminant(d) and genus._mu(d, pairs) - 1 > len(pairs):
                 failures.append((delta, f"mu-1 > omega at delta={d}"))
-    return checked, _smallest_failures(failures)
+    return len(deltas), _smallest_failures(failures)
 
 
 def _class_number_chunk(deltas: np.ndarray):
@@ -609,7 +610,7 @@ def _verify(suite: str, worker, chunks: list, jobs: int, max_delta: int) -> Veri
 
 def _check_sweep_bound(max_delta: int) -> None:
     if max_delta > MAX_SWEEP_DELTA:
-        raise ValueError(f"max_delta {max_delta} exceeds {MAX_SWEEP_DELTA}")
+        raise BoundError(f"max_delta {max_delta} exceeds {MAX_SWEEP_DELTA}, the sweep limit")
 
 
 def verify_parity(max_delta: int, jobs: int = 1) -> VerifyReport:
@@ -621,8 +622,10 @@ def verify_parity(max_delta: int, jobs: int = 1) -> VerifyReport:
 
 
 def verify_genus(max_delta: int, jobs: int = 1) -> VerifyReport:
-    """2**(mu-1) = |Cl+[2]| by enumeration, and mu - 1 <= omega."""
-    chunks = _ranges(5, max_delta, jobs, 1000)
+    """2**(mu-1) = |Cl+[2]| from the sweep, and mu - 1 <= omega, for all
+    0 < delta <= max_delta."""
+    _check_sweep_bound(max_delta)
+    chunks = _sweep_ranges(5, max_delta, jobs, 0.0)
     return _verify("genus", _genus_chunk, chunks, jobs, max_delta)
 
 

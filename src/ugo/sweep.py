@@ -1,8 +1,8 @@
-"""Narrow and wide class numbers of many real discriminants by a range sweep.
+"""Class numbers and 2-torsion of many real discriminants by a range sweep.
 
-`class_numbers(deltas)` returns h+ and h of every requested discriminant
-without building its class group.  It works through windows of the
-requested discriminants and handles all the forms of a window in a few
+`class_numbers(deltas)` returns h+, h and |Cl+[2]| of every requested
+discriminant without building its class group.  It works through windows of
+the requested discriminants and handles all the forms of a window in a few
 numpy passes.  It shares no code with `forms._ClassData`, so each route
 checks the other (te Riele & Williams, Exp. Math. 12 (2003), tabulate real
 class numbers the same way).
@@ -28,6 +28,13 @@ the cycle leaders.  h = h+ when the principal form (1, b1, .) and the form
 after tau = (-1, b1, .) lie on one cycle, and h+/2 otherwise.  A key that
 is not found exactly, or an odd h+ with tau off the principal cycle, raises
 ArithmeticError: the forms of the window are then not a complete set.
+
+2-torsion.  The inverse of the class of (a, b, c) holds its reversal
+(c, b, a), so the reversal (-k, b, a) of a cycle leader (a, b, -k) is a
+reduced form of the inverse class, and one rho step takes it to the form
+(a, w - (w + b) mod 2a, .) with a > 0.  A class has order at most 2 exactly
+when that form carries the leader's own label, so |Cl+[2]| costs one more
+lookup and `bincount`, over the h+ leaders only.
 
 Exactness.  For delta <= MAX_DELTA < 2**31 every product (b*b, 4*a*k, the
 squares of the root table) is below 2**31.  A form of delta has
@@ -134,7 +141,7 @@ def _locate(keys: np.ndarray, targets: np.ndarray, what: str) -> np.ndarray:
 
 
 def _count(deltas: np.ndarray, j, a, b):
-    """h+ and h of each of deltas from the forms (j, a, b) of deltas[j]."""
+    """h+, h and |Cl+[2]| of each of deltas from its forms (j, a, b)."""
     n = len(deltas)
     s = math.isqrt(int(deltas[-1])) + 1
     r = 3 * s // 2 + 1
@@ -153,11 +160,11 @@ def _count(deltas: np.ndarray, j, a, b):
     del t
     d = deltas[j]
     k = (d - b * b) // (4 * a)
-    w = w[j]
-    nb = w - (w + b) % (2 * k)
+    wj = w[j]
+    nb = wj - (wj + b) % (2 * k)
     nc = (d - nb * nb) // (4 * k)
-    nxt = _locate(keys, (j * r + nc) * s + w - (w + nb) % (2 * nc), "rho**2")
-    del a, b, d, k, w, nb, nc
+    nxt = _locate(keys, (j * r + nc) * s + wj - (wj + nb) % (2 * nc), "rho**2")
+    del a, b, d, k, wj, nb, nc
     label = np.arange(len(keys))
     while True:
         new = np.minimum(label, label[nxt])
@@ -165,21 +172,28 @@ def _count(deltas: np.ndarray, j, a, b):
             break
         label = new
         nxt = nxt[nxt]
-    h_plus = np.bincount(j[label == np.arange(len(keys))], minlength=n)
+    lead = np.flatnonzero(label == np.arange(len(keys)))
+    j = j[lead]
+    h_plus = np.bincount(j, minlength=n)
     same = label[principal] == label[tau]
     if np.any(~same & (h_plus & 1 == 1)):
         raise ArithmeticError("odd narrow class number with tau off the principal cycle")
-    return h_plus, np.where(same, h_plus, h_plus >> 1)
+    # The rho image (a, nb, .) of the reversal of leader t has the key t - b + nb.
+    t = keys[lead]
+    b = t % s
+    wj = w[j]
+    inverse = _locate(keys, t - b + wj - (wj + b) % (2 * (t // s % r)), "inverse")
+    two = np.bincount(j[label[inverse] == lead], minlength=n)
+    return h_plus, np.where(same, h_plus, h_plus >> 1), two
 
 
-def class_numbers(deltas) -> tuple[np.ndarray, np.ndarray]:
-    """(h+, h) of the real discriminants in `deltas`, an ascending sequence
-    of distinct positive discriminants up to MAX_DELTA, as int64 arrays."""
+def class_numbers(deltas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h+, h, |Cl+[2]|) of the ascending, distinct real discriminants in
+    `deltas`, each in [5, MAX_DELTA], as int64 arrays."""
     deltas = np.asarray(deltas, dtype=np.int64)
-    h_plus = np.empty_like(deltas)
-    h = np.empty_like(deltas)
+    out = np.empty((3, len(deltas)), dtype=np.int64)
     if not len(deltas):
-        return h_plus, h
+        return tuple(out)
     if deltas[0] < 5 or deltas[-1] > MAX_DELTA or np.any(np.diff(deltas) <= 0):
         raise ValueError("deltas must ascend strictly within [5, MAX_DELTA]")
     if np.any((deltas & 3 > 1) | (_isqrt(deltas) ** 2 == deltas)):
@@ -190,6 +204,6 @@ def class_numbers(deltas) -> tuple[np.ndarray, np.ndarray]:
     while i < len(deltas):
         base = queries[i - 1] if i else 0
         j = max(i + 1, int(np.searchsorted(queries, base + _WINDOW_PAIRS, "right")))
-        h_plus[i:j], h[i:j] = _count(deltas[i:j], *_reduced_forms(deltas[i:j]))
+        out[:, i:j] = _count(deltas[i:j], *_reduced_forms(deltas[i:j]))
         i = j
-    return h_plus, h
+    return tuple(out)

@@ -154,7 +154,7 @@ def test_criterion_5_conductor_formula_exhaustive():
     assert report.checked == 195043
 
 
-@criterion(6, "parity predicates match the sweep, genus order enumeration, delta <= 10^5")
+@criterion(6, "parity predicates and |Cl+[2]| = 2^(mu-1) match the sweep, delta <= 10^5")
 def test_criterion_6_parity_and_genus_exhaustive():
     parity = search.verify_parity(10**5, jobs=JOBS)
     assert parity.passed, parity.failures

@@ -9,6 +9,8 @@ import pytest
 from ugo.cfrac import fundamental_unit
 from ugo.forms import (
     BQF,
+    NARROW,
+    WIDE,
     ClassGroupStructure,
     _class_data,
     _ClassData,
@@ -27,7 +29,7 @@ from ugo.forms import (
     rho,
     wide_class_group,
 )
-from ugo.orders import decompose
+from ugo.orders import _mu, decompose
 
 
 def brute_reduced(delta):
@@ -359,8 +361,14 @@ def test_structure_matches_element_orders():
     ]
     for delta in deltas:
         cd = _class_data(delta)
-        assert _orders_of_chain(cd.narrow_divisors()) == _orders_by_composition(cd, False), delta
-        assert _orders_of_chain(cd.wide_divisors()) == _orders_by_composition(cd, True), delta
+        narrow, wide = cd.narrow_divisors(), cd.wide_divisors()
+        assert _orders_of_chain(narrow) == _orders_by_composition(cd, False), delta
+        assert _orders_of_chain(wide) == _orders_by_composition(cd, True), delta
+        # Both chains against Gauss's 2-rank, mu - 1 (mu - 2 for a wide
+        # group whose tau is no square).
+        mu = _mu(delta, cd.desc.pairs)
+        cd.check_two_rank(mu, narrow, NARROW)
+        cd.check_two_rank(mu, wide, WIDE)
 
 
 @pytest.mark.parametrize("delta, wide", [(-972, False), (68640, False), (22356, True)])

@@ -57,7 +57,7 @@ def test_one_class_per_genus_examples():
 def test_genus_order_equals_two_torsion_count():
     for delta in valid_discriminants(4000):
         cd = _class_data(delta)
-        assert cd.two_torsion_narrow_count() == genus_group_order(delta), delta
+        assert cd.square_ids().count(cd.principal) == genus_group_order(delta), delta
 
 
 def test_mu_bound():

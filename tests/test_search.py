@@ -10,6 +10,7 @@ from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ugo import cfrac, cli, forms, genus, intarith, relations, search, sweep
@@ -426,6 +427,7 @@ def test_cli_usage_error_exit_code(tmp_path):
         ("verify", "conductor", "--max-delta", "200", "--jobs", "-3"),
         ("verify", "conductor", "--max-delta", "200", "--jobs", "0"),
         ("verify", "conductor", "--max-delta", str(search.MAX_SWEEP_DELTA + 1)),
+        ("verify", "genus", "--max-delta", str(search.MAX_SWEEP_DELTA + 1)),
         ("verify", "parity", "--max-delta", "100000000000"),
         ("verify", "cf", "--max-n", "0"),
         ("verify", "cf", "--max-n", "-5"),
@@ -530,6 +532,60 @@ def test_verify_conductor_reports_smallest_failures(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "conductor: FAIL (914 checks)"
     assert out[1:] == [f"  counterexample: {e}" for e in expected]
+
+
+# The discriminants 5 <= delta <= 5000.
+DISCRIMINANTS_TO_5000 = 2430
+
+
+def test_verify_genus_builds_no_class_data(monkeypatch):
+    # |Cl+[2]| comes from the sweep, like h+ and h for parity and conductor.
+    built = []
+    monkeypatch.setattr(_ClassData, "__init__", lambda self, delta: built.append(delta))
+    report = search.verify_genus(5000)
+    assert report.passed, report.failures
+    assert report.checked == DISCRIMINANTS_TO_5000
+    assert built == []
+
+
+def test_verify_genus_reports_smallest_failures(monkeypatch, capsys):
+    real = sweep.class_numbers
+
+    def one_more_at_3_mod_7(deltas):
+        h_plus, h, two = real(deltas)
+        return h_plus, h, two + (np.asarray(deltas) % 7 == 3)
+
+    monkeypatch.setattr(sweep, "class_numbers", one_more_at_3_mod_7)
+    wrong = [d for d in range(5, 5001) if is_discriminant(d) and d % 7 == 3]
+    expected = [
+        f"|Cl+[2]| != 2^(mu-1) at delta={d}: {g + 1} vs {g}"
+        for d, g in zip(wrong[:20], map(genus.genus_group_order, wrong))
+    ]
+    for jobs in (1, 2):
+        report = search.verify_genus(5000, jobs=jobs)
+        assert report.checked == DISCRIMINANTS_TO_5000
+        assert report.failures == expected, jobs
+    assert cli.main(["verify", "genus", "--max-delta", "5000", "--jobs", "2"]) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"genus: FAIL ({DISCRIMINANTS_TO_5000} checks)"
+    assert out[1:] == [f"  counterexample: {e}" for e in expected]
+
+
+@pytest.mark.parametrize("delta", [8840, 68640, -420])
+def test_merged_even_factors_break_the_two_rank(monkeypatch, delta):
+    # Folding the least even factor into the largest (2x2x2 -> 2x4) keeps
+    # the order and the divisor chain, but not the 2-rank 2**(mu-1) fixes.
+    real = _ClassData._invariant_factors
+
+    def merged(self, project):
+        chain = real(self, project)
+        i = next(k for k, d in enumerate(chain) if d % 2 == 0)
+        return chain[:i] + chain[i + 1 : -1] + (chain[i] * chain[-1],)
+
+    monkeypatch.setattr(_ClassData, "_invariant_factors", merged)
+    for build in (forms.narrow_class_group, forms.wide_class_group, inspect_report):
+        with pytest.raises(ArithmeticError, match="2-rank"):
+            build(delta)
 
 
 def test_verify_cf_and_group_axioms_honour_jobs(capsys):

@@ -9,12 +9,15 @@ from ugo.intarith import is_discriminant
 
 
 def _class_data_numbers(deltas):
-    return [(cd.h_plus, cd.h) for cd in map(_ClassData, deltas)]
+    # |Cl+[2]| counts the classes whose square is the principal class.
+    return [
+        (cd.h_plus, cd.h, cd.square_ids().count(cd.principal))
+        for cd in map(_ClassData, deltas)
+    ]
 
 
 def _swept(deltas):
-    h_plus, h = sweep.class_numbers(deltas)
-    return list(zip(h_plus.tolist(), h.tolist()))
+    return list(zip(*(x.tolist() for x in sweep.class_numbers(deltas))))
 
 
 def test_sweep_equals_class_data_to_2e4():
@@ -38,7 +41,7 @@ def test_sweep_of_a_subset_and_of_small_windows(monkeypatch):
 
 
 def test_sweep_rejects_bad_input():
-    assert [len(x) for x in sweep.class_numbers([])] == [0, 0]
+    assert [len(x) for x in sweep.class_numbers([])] == [0, 0, 0]
     for deltas in ([8, 5], [5, 5], [4, 5], [5, 9], [5, 7], [sweep.MAX_DELTA + 1]):
         with pytest.raises(ValueError):
             sweep.class_numbers(deltas)
