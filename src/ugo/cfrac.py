@@ -180,6 +180,12 @@ def _principal_cycle(delta: int):
             return
 
 
+def unit_norm(delta: int) -> int:
+    """Norm of the fundamental unit: (-1)**(length of the principal period)."""
+    _check_positive_discriminant(delta)
+    return -1 if sum(1 for _ in _principal_cycle(delta)) & 1 else 1
+
+
 @lru_cache(maxsize=4096)
 def fundamental_unit(delta: int) -> QuadUnit:
     """The smallest unit > 1 of the real quadratic order of discriminant delta.

@@ -12,10 +12,11 @@ and one index lookup place on its cycle.  For the rows of both families at
 n = 4900..4964, the narrow and wide structure make 10,094 compositions
 beyond the h+ squares, against 38,471 when the tau fold composes.
 
-The enumeration loops over the smaller outer coefficient d <= sqrt(delta)/2
-and solves b**2 = delta (mod 4d), building the square roots by CRT from
-roots modulo prime powers (Hensel lifting; Cohen, GTM 138, 1.5), so its
-cost follows the number of forms rather than the divisors of (delta - b**2)/4.
+The enumeration loops over the smaller outer coefficient d and solves
+b**2 = delta (mod 4d), building the square roots by CRT from roots modulo
+prime powers (Hensel lifting; Cohen, GTM 138, 1.5), so its cost follows the
+number of forms rather than the divisors of (delta - b**2)/4.  Both signs
+share it: d <= sqrt(delta)/2 for delta > 0, d <= sqrt(|delta|/3) for delta < 0.
 
 `class_witness` needs no enumeration: one split prime form that reduces
 outside the principal (and tau) cycle proves the class group nontrivial.
@@ -150,19 +151,22 @@ def _reduce_definite(a: int, b: int, c: int) -> tuple[int, int, int]:
         return a, b, c
 
 
-def reduce(form: BQF, delta: int) -> BQF:
-    """A reduced form properly equivalent to the given primitive form."""
+def _check_class_form(form: BQF, delta: int) -> None:
     a, b, c = form
     if b * b - 4 * a * c != delta:
         raise ValueError("form does not have the stated discriminant")
     if math.gcd(a, b, c) != 1:
         raise ValueError(f"{form} is imprimitive; only invertible classes form the group")
-    if delta > 0:
-        w = math.isqrt(delta)
-        return BQF(*_reduce_indefinite(delta, w, a, b, c))
-    if a <= 0:
+    if delta < 0 and a <= 0:
         raise ValueError("negative definite form; class groups use a > 0")
-    return BQF(*_reduce_definite(a, b, c))
+
+
+def reduce(form: BQF, delta: int) -> BQF:
+    """A reduced form properly equivalent to the given primitive form."""
+    _check_class_form(form, delta)
+    if delta > 0:
+        return BQF(*_reduce_indefinite(delta, math.isqrt(delta), *form))
+    return BQF(*_reduce_definite(*form))
 
 
 def _solve_linear(a: int, b: int, m: int) -> tuple[int, int]:
@@ -260,8 +264,10 @@ def unit_norm_agrees(h_plus: int, h: int, norm: int) -> bool:
 class _ClassData:
     """All reduced-form cycle data for one discriminant.
 
-    `forms_a`, `forms_b`, `forms_c` hold the forms with a > 0, and `index`
-    finds one by its key a * stride + b (one key for both signs of delta).
+    `forms_a`, `forms_b`, `forms_c` hold the reduced forms (a, b, c) with
+    a > 0: 0 < b <= sqrt(delta) and c < 0 for delta > 0, a <= sqrt(|delta|/3)
+    and -a < b <= a for delta < 0.  `index` finds one by its key
+    a * stride + b (one key for both signs of delta).
     Cycle k is walk[starts[k]:starts[k + 1]], its forms' positions in walk
     order: rho**2 steps for delta > 0, a single form for delta < 0.  `orbit`
     maps a position to its cycle; `rep(k)`, the first walked form, is the
@@ -303,15 +309,17 @@ class _ClassData:
     def _positive_forms(self):
         # Loop over the smaller outer coefficient d (Buchmann & Vollmer 2007,
         # ch. 6).  With e = (delta - b*b) / (4d), the form (d, b, -e) is
-        # reduced with d <= e exactly when b*b = delta (mod 4d) and b lies in
-        # [max(1, w + 1 - 2d), isqrt(delta - 4d*d)].  That window holds at
-        # most 2d integers and the solutions b repeat mod 2d, so each root
-        # mod 2d gives at most one b.  d runs over odd parts m (roots mod m
-        # by CRT over prime powers, read off the SPF table) times 2**k.
+        # reduced exactly when b*b = delta (mod 4d) and, for delta > 0, b lies
+        # in [max(1, w + 1 - 2d), isqrt(delta - 4d*d)] (d <= e, and the twin
+        # (e, b, -d) is reduced too); for delta < 0, b lies in (-d, d] and
+        # -e >= d, with b >= 0 if -e = d (no twin).  Each window holds at most
+        # 2d integers and the solutions b repeat mod 2d, so each root mod 2d
+        # gives at most one b.  d runs over odd parts m (roots mod m by CRT
+        # over prime powers, read off the SPF table) times 2**k.
         delta = self.delta
         w = self.w
         support = [p for p, e in self.desc.pairs if e >= 2]
-        dmax = math.isqrt((delta - (2 - (delta & 1)) ** 2) >> 2)
+        dmax = math.isqrt(-delta // 3 if delta < 0 else (delta - (2 - (delta & 1)) ** 2) >> 2)
         spf = spf_table(dmax)[: dmax + 1].tolist()
         # two[k]: the roots mod 2**(k+1) of x*x = delta (mod 2**(k+2)).
         two = [(delta & 1,)]
@@ -370,16 +378,16 @@ class _ClassData:
                     break
                 m2 = 2 << k
                 two_d = d << 1
-                lo = w + 1 - two_d
-                if lo < 1:
-                    lo = 1
+                lo = 1 - d if delta < 0 else max(1, w + 1 - two_d)
                 for t in rk:
                     for u in roots:
                         x = u + m * ((t - u) * inv % m2)
                         b = lo + (x - lo) % two_d
                         e = ((delta - b * b) >> 2) // d
                         if e < d:
-                            continue
+                            # e >= 0 for delta > 0; for delta < 0, -e = c.
+                            if e > -d or e == -d and b < 0:
+                                continue
                         if support:
                             ok = True
                             for q in support:
@@ -391,7 +399,7 @@ class _ClassData:
                         add_a(d)
                         add_b(b)
                         add_c(-e)
-                        if d != e:
+                        if e > d:
                             add_a(e)
                             add_b(b)
                             add_c(-d)
@@ -432,9 +440,7 @@ class _ClassData:
         self.forms_a, self.forms_b, self.forms_c = A, B, C
         b1 = w if ((w ^ delta) & 1) == 0 else w - 1
         self.principal = orbit[index[stride + b1]]
-        c_tau = (delta - b1 * b1) >> 2
-        nb = w - ((w + b1) % (c_tau + c_tau))
-        self.tau = orbit[index[c_tau * stride + nb]]
+        self.tau = self.times_tau(self.principal)
         if self.tau != self.principal and self.h_plus % 2:
             raise ArithmeticError(
                 f"odd narrow class number with nontrivial negative class at {delta}"
@@ -442,28 +448,13 @@ class _ClassData:
         self.h = self.h_plus if self.tau == self.principal else self.h_plus // 2
 
     def _build_imaginary(self):
-        # Forms come out sorted by (a, b), each its own cycle; the principal
-        # form (1, delta % 2, ...) comes first.
-        delta = self.delta
+        # Each reduced form is its own class; the principal form
+        # (1, delta % 2, ...) comes first, from d = 1.
         self.w = 0
-        A: list[int] = []
-        B: list[int] = []
-        C: list[int] = []
-        amax = math.isqrt(-delta // 3)
-        for a in range(1, amax + 1):
-            for b in range(-a + 1, a + 1):
-                num = b * b - delta
-                if num % (4 * a):
-                    continue
-                c = num // (4 * a)
-                if c < a or b < 0 and (a == c or -b == a) or math.gcd(a, b, c) != 1:
-                    continue
-                A.append(a)
-                B.append(b)
-                C.append(c)
+        A, B, C = self._positive_forms()
         nf = len(A)
         # -amax < b <= amax, so keys of distinct forms differ.
-        stride = self.stride = 2 * amax + 3
+        stride = self.stride = 2 * math.isqrt(-self.delta // 3) + 3
         self.index = {A[i] * stride + B[i]: i for i in range(nf)}
         self.forms_a, self.forms_b, self.forms_c = A, B, C
         self.orbit = self.walk = list(range(nf))
@@ -502,20 +493,22 @@ class _ClassData:
 
     # -- class arithmetic ------------------------------------------------
 
-    def orbit_of(self, form: BQF) -> int:
-        a, b, c = form
-        if b * b - 4 * a * c != self.delta:
-            raise ValueError("form does not have this discriminant")
-        if math.gcd(a, b, c) != 1:
-            raise ValueError(f"{form} is imprimitive")
-        if self.delta > 0:
-            a, b, c = _reduce_indefinite(self.delta, self.w, a, b, c)
+    def _place(self, a: int, b: int, c: int) -> int:
+        # The class of a primitive form of this discriminant: reduce it, take
+        # one rho step from a < 0 to a > 0, and look it up.
+        delta = self.delta
+        if delta > 0:
+            a, b, c = _reduce_indefinite(delta, self.w, a, b, c)
             if a < 0:
-                _, nb, nc = _rho_step(self.delta, self.w, b, c)
-                a, b, c = c, nb, nc
+                _, b, _ = _rho_step(delta, self.w, b, c)
+                a = c
         else:
             a, b, c = _reduce_definite(a, b, c)
         return self.orbit[self.index[a * self.stride + b]]
+
+    def orbit_of(self, form: BQF) -> int:
+        _check_class_form(form, self.delta)
+        return self._place(*form)
 
     def rep(self, oid: int) -> tuple[int, int, int]:
         j = self.walk[self.starts[oid]]
@@ -532,7 +525,7 @@ class _ClassData:
                 raw = _square_raw(*self.rep(i))
             else:
                 raw = _compose_raw(self.rep(i), self.rep(j))
-            got = self.orbit_of(BQF(*raw))
+            got = self._place(*raw)
             memo[key] = got
         return got
 
@@ -599,10 +592,9 @@ class _ClassData:
 
     def times_tau(self, oid: int) -> int:
         # [f][tau] is the class of the negation (-a, b, -c) of f (see
-        # class_witness); one rho step takes that reduced form to a > 0.
-        _, b, c = self.rep(oid)
-        _, nb, _ = _rho_step(self.delta, self.w, b, -c)
-        return self.orbit[self.index[-c * self.stride + nb]]
+        # class_witness), a reduced form.
+        a, b, c = self.rep(oid)
+        return self._place(-a, b, -c)
 
     def wide_divisors(self) -> tuple[int, ...]:
         if self.h == self.h_plus:

@@ -475,7 +475,7 @@ def _parity_chunk(bounds: tuple[int, int]):
             failures.append((delta, f"narrow parity wrong at delta={delta} (h+={hp})"))
         if (hw % 2 == 1) != genus._wide_odd(delta, pairs):
             failures.append((delta, f"wide parity wrong at delta={delta} (h={hw})"))
-        norm = cfrac.fundamental_unit(delta).norm
+        norm = cfrac.unit_norm(delta)
         if not forms.unit_norm_agrees(hp, hw, norm):
             failures.append((delta, f"h+/h ratio disagrees with unit norm at delta={delta}"))
         if narrow_odd and norm != -1:

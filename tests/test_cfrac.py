@@ -14,6 +14,7 @@ from ugo.cfrac import (
     hj_cf_expand,
     regulator,
     unit_index,
+    unit_norm,
     verify_parametric_cf,
 )
 from ugo.orders import UnitGeneratedParam, power_order
@@ -192,6 +193,18 @@ def test_fundamental_unit_invalid():
     for bad in (0, -4, 9, 7, 100):
         with pytest.raises(ValueError):
             fundamental_unit(bad)
+        with pytest.raises(ValueError):
+            unit_norm(bad)
+
+
+def test_unit_norm_is_period_parity():
+    for delta in range(5, 200):
+        if delta % 4 in (0, 1) and math.isqrt(delta) ** 2 != delta:
+            assert unit_norm(delta) == brute_fundamental_unit(delta)[2], delta
+    for delta in range(200, 5000):
+        if delta % 4 in (0, 1) and math.isqrt(delta) ** 2 != delta:
+            assert unit_norm(delta) == fundamental_unit(delta).norm, delta
+    assert (unit_norm(10**11 + 1), unit_norm(50004529)) == (1, -1)
 
 
 def test_unit_generated_units_are_fundamental():

@@ -155,7 +155,8 @@ def test_enumerate_reduced_examples():
 
 
 def test_enumerate_reduced_against_brute_force():
-    for delta in list(valid_discriminants(2000)) + [-3, -4, -15, -20, -23, -47, -71, -84]:
+    negative = [-d for d in range(3, 6001) if -d % 4 in (0, 1)]
+    for delta in [*valid_discriminants(2000), *negative]:
         assert set(enumerate_reduced(delta)) == brute_reduced(delta), delta
 
 
@@ -184,6 +185,12 @@ def test_positive_forms_against_brute_force():
         (215364996, 168, 5930),  # 2**2 * 3**2 * 7**2 * 11**2 * 1009
         (99460725, 896, 3532),
         (64016005, 576, 4390),  # 8001**2 + 4
+        # delta < 0: one form per class, pinned from a coefficient scan.
+        (-8108100, 960, 960),  # 2**2 * 3**4 * 5**2 * 7 * 11 * 13
+        (-33553792, 1816, 1816),  # 2**7 * 262139: 2-adic lifting
+        (-16110900, 1152, 1152),  # ramified lifts, as at +16110900
+        (-100000003, 1702, 1702),
+        (-99460727, 6736, 6736),
     ],
 )
 def test_positive_forms_pinned(delta, h_plus, n_forms):
@@ -308,6 +315,20 @@ def test_compose_inverse_and_associativity():
             left = compose(compose(f, g, delta), h, delta)
             right = compose(f, compose(g, h, delta), delta)
             assert left == right
+
+
+def test_negative_definite_forms_are_rejected():
+    # Their classes lie outside the group of a > 0 forms; the check is the
+    # one reduce makes, not a failed lookup.
+    neg = BQF(-1, 0, -1)
+    with pytest.raises(ValueError, match="negative definite"):
+        compose(neg, BQF(1, 0, 1), -4)
+    with pytest.raises(ValueError, match="negative definite"):
+        compose(BQF(2, 1, 3), BQF(-2, 1, -3), -23)
+    with pytest.raises(ValueError, match="negative definite"):
+        _ClassData(-23).orbit_of(BQF(-2, -1, -3))
+    with pytest.raises(ValueError, match="negative definite"):
+        reduce(neg, -4)
 
 
 def test_narrow_class_group_structures():

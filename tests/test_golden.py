@@ -2,8 +2,8 @@
 
 The digests pin every byte the program writes for small scans of each
 family and filter, in both formats, and for `inspect` on a spread of
-discriminants (imaginary, the smallest real one, non-maximal, a 2-rank 4
-group, and a large one).  A change to how invariants are computed must
+discriminants (two small imaginary ones and one with h = 1702, the
+smallest real one, non-maximal, a 2-rank 4 group, and a large real one).  A change to how invariants are computed must
 leave them all unchanged.
 """
 
@@ -58,6 +58,7 @@ INSPECT_DIGESTS = {
     725: "6763296a78e38b2006a2284674fa02f44de9286772d5ce635edd992db8357920",
     68640: "c79e3da507d15fd284a244e131facd94691e4923f9a787784a86e5fd22e386b2",
     100000001: "3c7ca11b34dd467635d8a5945ba9c2790663e77646961429eb83ee551f40008d",
+    -100000003: "8e6feddf141556ef9f586d9544fb4eaaa0e42a62faa43467f6689c0c4ffc40bd",
 }
 
 
@@ -77,7 +78,7 @@ def test_scan_output_digest(tmp_path, family, flt, fmt):
     assert _sha256(out.read_bytes()) == SCAN_DIGESTS[family, flt, fmt]
 
 
-@pytest.mark.parametrize("delta", (-4, -3, 5, 725, 68640, 100000001))
+@pytest.mark.parametrize("delta", (-4, -3, 5, 725, 68640, 100000001, -100000003))
 def test_inspect_json_digest(capsys, delta):
     assert cli.main(["inspect", str(delta), "--json"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == INSPECT_DIGESTS[delta]
