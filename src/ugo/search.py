@@ -31,9 +31,13 @@ group; a bound past MAX_SWEEP_DELTA raises BoundError before any check, and
 they run ranges of delta of shrinking cost from the top down.  The parity
 and genus suites factor each delta once, for its parity shapes and for mu
 and omega.  The conductor suite finds the conductor of every delta <=
-max_delta with one sieve over f, then sweeps the fundamental delta0 <=
-max_delta/4 for h(delta0) and, in a second pass, the non-maximal delta,
-each against `relations.predicted_class_number`.  The cf suite takes equal
+max_delta with one sieve over f.  Its first pass sweeps the fundamental
+delta0 <= max_delta/4 for h(delta0), and the same worker predicts
+h(f**2*delta0) for every f >= 2 in turn by
+`relations.predicted_class_number`, so the principal cycle of each delta0
+is walked once; the parent keeps the predictions in an int32 array over
+[0, max_delta] (40 MB at 10**7).  The second pass sweeps the non-maximal
+delta and compares.  The cf suite takes equal
 ranges of n, and the group-axioms suite chunks its list of sampled delta.
 Workers return failures as (delta or n, message), and every suite reports
 the 20 smallest in ascending order, whatever the chunking.
@@ -56,7 +60,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import cfrac, forms, genus, relations, sweep
+from . import __version__, cfrac, forms, genus, relations, sweep
 from .forms import _ClassData, _class_data, divisor_chain
 from .genus import EVEN, ODD
 from .intarith import MAX_INPUT, factor, is_discriminant, spf_table
@@ -81,13 +85,10 @@ _AXIOM_SEED = 1
 _MAX_FAILURES = 20
 _PREBUILT_MAX = 1 << 23
 # The largest bound of the swept suites, parity, genus and conductor.  At it
-# the conductor suite keeps an int16 conductor for every integer and an
-# int32 h(delta0) for every delta0 up to a quarter of it, 30 MB, and each
-# worker's sweep holds a 20 MB table of square roots.
+# the conductor suite keeps an int16 conductor and an int32 predicted class
+# number for every integer up to it, 20 + 40 MB, and each worker's sweep
+# holds a 20 MB table of square roots.
 MAX_SWEEP_DELTA = 10**7
-# One conductor-formula check costs about as much as the sweep spends on
-# 100 units of sqrt(delta) (about 30 us against 0.3 us at delta <= 1.5*10**5).
-_CHECK_COST = 100.0
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,11 @@ class ScanConfig:
         object.__setattr__(self, "families", fams)
 
     def fingerprint(self) -> str:
-        key = repr((self.families, self.n_min, self.n_max, self.filter, self.format))
+        # The package version and the row columns are part of the key, so a
+        # checkpoint is never resumed by code that writes other rows.
+        key = repr(
+            (__version__, _ROW_FIELDS, self.families, self.n_min, self.n_max, self.filter, self.format)
+        )
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
@@ -501,19 +506,25 @@ def _genus_chunk(bounds: tuple[int, int]):
     return len(deltas), _smallest_failures(failures)
 
 
-def _class_number_chunk(deltas: np.ndarray):
-    return deltas, sweep.class_numbers(deltas)[1]
+def _class_number_chunk(chunk: tuple[np.ndarray, int]):
+    # h(delta0) of fundamental delta0 from the sweep, and the conductor-formula
+    # prediction for every f**2 * delta0 <= max_delta with f >= 2.  The f of
+    # one delta0 follow one another, so its principal cycle is walked once.
+    delta0s, max_delta = chunk
+    deltas = []
+    predicted = []
+    for delta0, h0 in zip(delta0s.tolist(), sweep.class_numbers(delta0s)[1].tolist()):
+        for f in range(2, math.isqrt(max_delta // delta0) + 1):
+            deltas.append(f * f * delta0)
+            predicted.append(relations.predicted_class_number(delta0, f, h0))
+    return np.array(deltas, dtype=np.int64), np.array(predicted, dtype=np.int32)
 
 
-def _conductor_chunk(chunk: tuple[np.ndarray, np.ndarray, np.ndarray]):
-    # Non-maximal delta = f**2 * delta0 with their conductors f and the
-    # class numbers h0 = h(delta0) of the first pass.
-    deltas, conductors, h0s = chunk
-    hs = sweep.class_numbers(deltas)[1]
-    failures = []
-    for delta, f, h0, h in zip(deltas.tolist(), conductors.tolist(), h0s.tolist(), hs.tolist()):
-        if relations.predicted_class_number(delta // (f * f), f, h0) != h:
-            failures.append((delta, f"conductor formula mismatch at delta={delta}"))
+def _conductor_chunk(chunk: tuple[np.ndarray, np.ndarray]):
+    # Non-maximal delta and their predicted class numbers from the first pass.
+    deltas, predicted = chunk
+    wrong = deltas[sweep.class_numbers(deltas)[1] != predicted]
+    failures = [(delta, f"conductor formula mismatch at delta={delta}") for delta in wrong.tolist()]
     return len(deltas), _smallest_failures(failures)
 
 
@@ -579,14 +590,18 @@ def _conductors(max_delta: int) -> np.ndarray:
     return cond
 
 
-def _sweep_ranges(lo: int, hi: int, jobs: int, per_delta: float) -> list[tuple[int, int]]:
+def _sweep_ranges(lo: int, hi: int, jobs: int, max_delta: int = 0) -> list[tuple[int, int]]:
     # Ranges of [lo, hi] from the top down, of shrinking cost.  The sweep
-    # costs about sqrt(delta) per discriminant and a check per_delta more,
-    # so [5, x] costs about cost(x) below.  Each range takes 1/(4*jobs) of
-    # the cost left, and at least 1/(64*jobs) of the whole, so a pool ends
-    # on light ranges and no worker waits long for the other at the end.
+    # costs about sqrt(delta) per discriminant, so [5, x] costs about
+    # x*sqrt(x)*2/3.  A nonzero max_delta adds the conductor-formula checks
+    # of each delta0, about sqrt(max_delta/delta0) of them, each costing
+    # about as much as 20 units of sqrt(delta0) of the sweep and the unit
+    # walk (6 us against 0.3 us): 40*sqrt(max_delta*x) over [5, x].  Each
+    # range takes 1/(4*jobs) of the cost left, and at least 1/(64*jobs) of
+    # the whole, so a pool ends on light ranges and no worker waits long
+    # for the other at the end.
     def cost(x: int) -> float:
-        return x * (math.sqrt(x) * 2 / 3 + per_delta)
+        return x * math.sqrt(x) * 2 / 3 + 40 * math.sqrt(max_delta * x)
 
     jobs = max(jobs, 1)
     xs = range(lo - 1, hi + 1)
@@ -617,7 +632,7 @@ def verify_parity(max_delta: int, jobs: int = 1) -> VerifyReport:
     """Predicates vs swept parities for all 0 < delta <= max_delta."""
     _check_sweep_bound(max_delta)
     # A check walks the principal cycle, which also grows like sqrt(delta).
-    chunks = _sweep_ranges(5, max_delta, jobs, 0.0)
+    chunks = _sweep_ranges(5, max_delta, jobs)
     return _verify("parity", _parity_chunk, chunks, jobs, max_delta)
 
 
@@ -625,30 +640,33 @@ def verify_genus(max_delta: int, jobs: int = 1) -> VerifyReport:
     """2**(mu-1) = |Cl+[2]| from the sweep, and mu - 1 <= omega, for all
     0 < delta <= max_delta."""
     _check_sweep_bound(max_delta)
-    chunks = _sweep_ranges(5, max_delta, jobs, 0.0)
+    chunks = _sweep_ranges(5, max_delta, jobs)
     return _verify("genus", _genus_chunk, chunks, jobs, max_delta)
 
 
 def verify_conductor(max_delta: int, jobs: int = 1) -> VerifyReport:
     """Conductor-formula prediction vs the sweep for all non-maximal orders
     with delta <= max_delta: one sweep pass for the fundamental delta0 <=
-    max_delta/4, then one for the non-maximal delta."""
+    max_delta/4 that also predicts h(f**2*delta0), then one for the
+    non-maximal delta."""
     _check_sweep_bound(max_delta)
     cond = _conductors(max_delta)
-    h0 = np.zeros(max_delta // 4 + 1, dtype=np.int32)
+    predicted = np.zeros(max_delta + 1, dtype=np.int32)
     fundamental = (
-        np.flatnonzero(cond[lo : hi + 1] == 1) + lo
-        for lo, hi in _sweep_ranges(5, max_delta // 4, jobs, 0.0)
+        (np.flatnonzero(cond[lo : hi + 1] == 1) + lo, max_delta)
+        for lo, hi in _sweep_ranges(5, max_delta // 4, jobs, max_delta)
     )
-    for delta0s, h in _run(_class_number_chunk, fundamental, jobs, max_delta):
-        h0[delta0s] = h
+    for deltas, h in _run(_class_number_chunk, fundamental, jobs, max_delta):
+        predicted[deltas] = h
+    missing = np.flatnonzero((cond > 1) & (predicted == 0))
+    if len(missing):
+        raise ArithmeticError(f"no conductor-formula prediction at delta={missing[0]}")
 
     def checks(lo: int, hi: int):
         deltas = np.flatnonzero(cond[lo : hi + 1] > 1) + lo
-        f = cond[deltas].astype(np.int64)
-        return deltas, f, h0[deltas // (f * f)]
+        return deltas, predicted[deltas]
 
-    chunks = (checks(lo, hi) for lo, hi in _sweep_ranges(5, max_delta, jobs, _CHECK_COST))
+    chunks = (checks(lo, hi) for lo, hi in _sweep_ranges(5, max_delta, jobs))
     return _verify("conductor", _conductor_chunk, chunks, jobs, max_delta)
 
 

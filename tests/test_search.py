@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -231,6 +232,34 @@ def test_resume_rejects_config_change(tmp_path, monkeypatch, crash_scan_after_ro
         scan_to_file(
             ScanConfig(families=("plus",), n_min=0, n_max=80, output=str(out), checkpoint_path=str(ckpt))
         )
+
+
+def test_resume_rejects_a_journal_of_other_code(tmp_path, monkeypatch, crash_scan_after_rows, capsys):
+    # The fingerprint keys on the package version and the row columns too,
+    # so a journal keyed on the scan settings alone is refused, by the API
+    # and by the CLI, and the output file is left as it is.
+    monkeypatch.setattr(search, "_CHECKPOINT_EVERY", 4)
+    out = tmp_path / "scan.csv"
+    ckpt = tmp_path / "ckpt.txt"
+    cfg = ScanConfig(families=("plus",), n_min=0, n_max=60, output=str(out), checkpoint_path=str(ckpt))
+    with crash_scan_after_rows(10):
+        scan_to_file(cfg)
+    settings = repr((cfg.families, cfg.n_min, cfg.n_max, cfg.filter, cfg.format))
+    old = hashlib.sha256(settings.encode()).hexdigest()[:16]
+    ckpt.write_text(ckpt.read_text().replace(cfg.fingerprint(), old))
+    written = out.read_bytes()
+    with pytest.raises(search.CheckpointError):
+        scan_to_file(cfg)
+    args = ["scan", "--family", "plus", "--n-max", "60", "--out", str(out), "--checkpoint", str(ckpt)]
+    assert cli.main(args) == 1
+    assert "checkpoint does not match" in capsys.readouterr().err
+    assert out.read_bytes() == written
+    fingerprint = cfg.fingerprint()
+    monkeypatch.setattr(search, "__version__", "0.0.0")
+    assert cfg.fingerprint() != fingerprint
+    monkeypatch.undo()
+    monkeypatch.setattr(search, "_ROW_FIELDS", search._ROW_FIELDS[:-1])
+    assert cfg.fingerprint() != fingerprint
 
 
 def test_scan_streams_its_tasks():
@@ -513,6 +542,63 @@ def test_verify_conductor_builds_each_delta0_once(monkeypatch):
     assert max(Counter(swept).values()) == 1
     delta0s = {decompose(d).delta0 for d in NON_MAXIMAL_TO_5000}
     assert set(swept) == set(NON_MAXIMAL_TO_5000) | delta0s
+
+
+def test_verify_conductor_checks_every_non_maximal_delta_to_the_bound():
+    # The first pass predicts f**2 * delta0 for f >= 2 up to the bound
+    # itself: 20 = 2**2 * 5 is the first non-maximal delta, 32 = 2**2 * 8
+    # the second.
+    non_maximal = [d for d in NON_MAXIMAL_TO_5000 if d <= 300]
+    for m in range(5, 301):
+        report = search.verify_conductor(m)
+        assert report.passed, (m, report.failures)
+        assert report.checked == sum(d <= m for d in non_maximal), m
+    assert [search.verify_conductor(m).checked for m in (19, 20, 32)] == [0, 1, 2]
+    for jobs in (1, 2, 3):
+        assert search.verify_conductor(500, jobs=jobs).checked == 75, jobs
+
+
+def test_verify_conductor_walks_each_principal_cycle_once(monkeypatch):
+    # The predictions come from the first pass, delta0 by delta0, so each
+    # fundamental unit is built once (a cache miss) and serves all its f;
+    # the second pass only compares.
+    real = relations.predicted_class_number
+    real_chunk = search._conductor_chunk
+    inside = []
+    calls = []
+
+    def chunk_spy(chunk):
+        inside.append(True)
+        try:
+            return real_chunk(chunk)
+        finally:
+            inside.pop()
+
+    def formula_spy(delta0, f, h0):
+        calls.append(bool(inside))
+        return real(delta0, f, h0)
+
+    monkeypatch.setattr(search, "_conductor_chunk", chunk_spy)
+    monkeypatch.setattr(relations, "predicted_class_number", formula_spy)
+    cfrac.fundamental_unit.cache_clear()
+    report = search.verify_conductor(5000)
+    assert report.passed, report.failures
+    assert report.checked == len(calls) == 914
+    assert not any(calls)
+    delta0s = {decompose(d).delta0 for d in NON_MAXIMAL_TO_5000}
+    assert cfrac.fundamental_unit.cache_info().misses == len(delta0s)
+
+
+def test_verify_conductor_needs_a_prediction_for_every_non_maximal_delta(monkeypatch):
+    real = search._class_number_chunk
+
+    def last_one_lost(chunk):
+        deltas, predicted = real(chunk)
+        return deltas[:-1], predicted[:-1]
+
+    monkeypatch.setattr(search, "_class_number_chunk", last_one_lost)
+    with pytest.raises(ArithmeticError, match="no conductor-formula prediction"):
+        search.verify_conductor(5000)
 
 
 def test_verify_conductor_reports_smallest_failures(monkeypatch, capsys):

@@ -6,6 +6,7 @@ import pytest
 from ugo import search, sweep
 from ugo.forms import _ClassData
 from ugo.intarith import is_discriminant
+from ugo.orders import is_fundamental_discriminant
 
 
 def _class_data_numbers(deltas):
@@ -27,6 +28,27 @@ def test_sweep_equals_class_data_to_2e4():
 
 def test_sweep_equals_class_data_near_1e6():
     deltas = [d for d in range(10**6 - 1500, 10**6 + 1) if is_discriminant(d)]
+    assert _swept(deltas) == _class_data_numbers(deltas)
+
+
+def test_sweep_equals_class_data_at_the_sweep_bound():
+    # The int32 arithmetic per form at the largest bound of the swept suites.
+    top = search.MAX_SWEEP_DELTA
+    deltas = [d for d in range(top - 400, top + 1) if is_discriminant(d)]
+    assert _swept(deltas) == _class_data_numbers(deltas)
+
+
+def test_sweep_equals_class_data_at_conductors_divisible_by_6_or_9():
+    # At delta = f**2 * delta0 with 6 | f or 9 | f many primitive forms have
+    # gcd(a, rho) > 1 for their root rho mod 2a, beside imprimitive forms
+    # with the same gcd; only gcd(a, rho, k) tells them apart.
+    deltas = sorted(
+        f * f * delta0
+        for f in range(6, 201)
+        if f % 6 == 0 or f % 9 == 0
+        for delta0 in range(5, 200000 // (f * f) + 1)
+        if is_fundamental_discriminant(delta0)
+    )
     assert _swept(deltas) == _class_data_numbers(deltas)
 
 
