@@ -30,15 +30,15 @@ and one merge.  The parity, genus and conductor suites read h+, h and
 group; a bound past MAX_SWEEP_DELTA raises BoundError before any check, and
 they run ranges of delta of shrinking cost from the top down.  The parity
 and genus suites factor each delta once, for its parity shapes and for mu
-and omega.  The conductor suite finds the conductor of every delta <=
-max_delta with one sieve over f.  Its first pass sweeps the fundamental
-delta0 <= max_delta/4 for h(delta0), and the same worker predicts
-h(f**2*delta0) for every f >= 2 in turn by
+and omega.  The conductor suite runs one pass over the fundamental
+delta0 <= max_delta/4, found by one sieve over f of the conductors up to
+max_delta/4 (5 MB of int16 at 10**7).  Each worker sweeps h(delta0) for
+its range, predicts h(f**2*delta0) for every f >= 2 in turn by
 `relations.predicted_class_number`, so the principal cycle of each delta0
-is walked once; the parent keeps the predictions in an int32 array over
-[0, max_delta] (40 MB at 10**7).  The second pass sweeps the non-maximal
-delta and compares.  The cf suite takes equal
-ranges of n, and the group-axioms suite chunks its list of sampled delta.
+is walked once, then sweeps those f**2*delta0 and compares.  Each
+non-maximal delta is f**2*delta0 for one fundamental delta0 and one f, so
+every one is checked once.  The cf suite takes equal ranges of n, and the
+group-axioms suite chunks its list of distinct sampled delta.
 Workers return failures as (delta or n, message), and every suite reports
 the 20 smallest in ascending order, whatever the chunking.
 """
@@ -85,9 +85,9 @@ _AXIOM_SEED = 1
 _MAX_FAILURES = 20
 _PREBUILT_MAX = 1 << 23
 # The largest bound of the swept suites, parity, genus and conductor.  At it
-# the conductor suite keeps an int16 conductor and an int32 predicted class
-# number for every integer up to it, 20 + 40 MB, and each worker's sweep
-# holds a 20 MB table of square roots.
+# the conductor suite keeps an int16 conductor for every integer up to a
+# quarter of it, 5 MB, and each worker's sweep holds a 20 MB table of square
+# roots.
 MAX_SWEEP_DELTA = 10**7
 
 
@@ -506,10 +506,11 @@ def _genus_chunk(bounds: tuple[int, int]):
     return len(deltas), _smallest_failures(failures)
 
 
-def _class_number_chunk(chunk: tuple[np.ndarray, int]):
-    # h(delta0) of fundamental delta0 from the sweep, and the conductor-formula
-    # prediction for every f**2 * delta0 <= max_delta with f >= 2.  The f of
-    # one delta0 follow one another, so its principal cycle is walked once.
+def _conductor_chunk(chunk: tuple[np.ndarray, int]):
+    # h(delta0) of a range of fundamental delta0 from the sweep, the
+    # conductor-formula prediction for every f**2 * delta0 <= max_delta with
+    # f >= 2, and the sweep of those delta to compare.  The f of one delta0
+    # follow one another, so its principal cycle is walked once.
     delta0s, max_delta = chunk
     deltas = []
     predicted = []
@@ -517,13 +518,9 @@ def _class_number_chunk(chunk: tuple[np.ndarray, int]):
         for f in range(2, math.isqrt(max_delta // delta0) + 1):
             deltas.append(f * f * delta0)
             predicted.append(relations.predicted_class_number(delta0, f, h0))
-    return np.array(deltas, dtype=np.int64), np.array(predicted, dtype=np.int32)
-
-
-def _conductor_chunk(chunk: tuple[np.ndarray, np.ndarray]):
-    # Non-maximal delta and their predicted class numbers from the first pass.
-    deltas, predicted = chunk
-    wrong = deltas[sweep.class_numbers(deltas)[1] != predicted]
+    order = np.argsort(deltas)
+    deltas = np.array(deltas, dtype=np.int64)[order]
+    wrong = deltas[sweep.class_numbers(deltas)[1] != np.array(predicted)[order]]
     failures = [(delta, f"conductor formula mismatch at delta={delta}") for delta in wrong.tolist()]
     return len(deltas), _smallest_failures(failures)
 
@@ -596,12 +593,17 @@ def _sweep_ranges(lo: int, hi: int, jobs: int, max_delta: int = 0) -> list[tuple
     # x*sqrt(x)*2/3.  A nonzero max_delta adds the conductor-formula checks
     # of each delta0, about sqrt(max_delta/delta0) of them, each costing
     # about as much as 20 units of sqrt(delta0) of the sweep and the unit
-    # walk (6 us against 0.3 us): 40*sqrt(max_delta*x) over [5, x].  Each
+    # walk (6 us against 0.3 us): 40*sqrt(max_delta*x) over [5, x].  The
+    # sweep of those f**2*delta0 costs sum(f*sqrt(delta0)), about
+    # max_delta/(2*sqrt(delta0)) per delta0, at 0.3 of a unit of the sweep
+    # and the walk of delta0 (fitted serially at max_delta 1.5*10**5 and
+    # 10**6): 0.3*max_delta*sqrt(x) over [5, x].  Each
     # range takes 1/(4*jobs) of the cost left, and at least 1/(64*jobs) of
     # the whole, so a pool ends on light ranges and no worker waits long
     # for the other at the end.
     def cost(x: int) -> float:
-        return x * math.sqrt(x) * 2 / 3 + 40 * math.sqrt(max_delta * x)
+        rx = math.sqrt(x)
+        return x * rx * 2 / 3 + 40 * math.sqrt(max_delta * x) + 0.3 * max_delta * rx
 
     jobs = max(jobs, 1)
     xs = range(lo - 1, hi + 1)
@@ -646,27 +648,15 @@ def verify_genus(max_delta: int, jobs: int = 1) -> VerifyReport:
 
 def verify_conductor(max_delta: int, jobs: int = 1) -> VerifyReport:
     """Conductor-formula prediction vs the sweep for all non-maximal orders
-    with delta <= max_delta: one sweep pass for the fundamental delta0 <=
-    max_delta/4 that also predicts h(f**2*delta0), then one for the
-    non-maximal delta."""
+    with delta <= max_delta.  Each non-maximal delta is f**2*delta0 for one
+    fundamental delta0 <= max_delta/4 and one f >= 2, so one pass over those
+    delta0 predicts, sweeps and compares every one of them."""
     _check_sweep_bound(max_delta)
-    cond = _conductors(max_delta)
-    predicted = np.zeros(max_delta + 1, dtype=np.int32)
-    fundamental = (
+    cond = _conductors(max_delta // 4)
+    chunks = (
         (np.flatnonzero(cond[lo : hi + 1] == 1) + lo, max_delta)
         for lo, hi in _sweep_ranges(5, max_delta // 4, jobs, max_delta)
     )
-    for deltas, h in _run(_class_number_chunk, fundamental, jobs, max_delta):
-        predicted[deltas] = h
-    missing = np.flatnonzero((cond > 1) & (predicted == 0))
-    if len(missing):
-        raise ArithmeticError(f"no conductor-formula prediction at delta={missing[0]}")
-
-    def checks(lo: int, hi: int):
-        deltas = np.flatnonzero(cond[lo : hi + 1] > 1) + lo
-        return deltas, predicted[deltas]
-
-    chunks = (checks(lo, hi) for lo, hi in _sweep_ranges(5, max_delta, jobs))
     return _verify("conductor", _conductor_chunk, chunks, jobs, max_delta)
 
 
@@ -678,9 +668,10 @@ def verify_cf(max_n: int, jobs: int = 1) -> VerifyReport:
 
 def verify_group_axioms(max_delta: int, jobs: int = 1) -> VerifyReport:
     """Identity, inverses, commutativity, associativity on sampled classes
-    of every delta <= 2000 and of random delta <= max_delta."""
+    of every delta <= 2000 and of 60 distinct random integers in
+    (2000, max_delta] that are discriminants."""
     rng = random.Random(_AXIOM_SEED)
-    draws = (rng.randrange(5, max_delta + 1) for _ in range(60))
+    draws = rng.sample(range(2001, max_delta + 1), min(60, max(max_delta - 2000, 0)))
     deltas = [*_valid_deltas(5, min(max_delta, 2000)), *filter(is_discriminant, draws)]
     chunks = [deltas[a : b + 1] for a, b in _ranges(0, len(deltas) - 1, jobs, 1)]
     return _verify("group-axioms", _axioms_chunk, chunks, jobs, max_delta)

@@ -2,8 +2,11 @@ import hashlib
 import math
 import random
 import tracemalloc
+from itertools import groupby
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ugo.cfrac import (
     CFExpansion,
@@ -120,6 +123,79 @@ def test_cf_roundtrip_random():
         checked += 1
 
 
+def moebius(m, x):
+    """(alpha*x + beta)/(gamma*x + delta) for m = ((alpha, beta), (gamma,
+    delta)) of x = (p + sqrt(d))/q, exactly, as the QuadIrrational
+    (p' + sqrt(d))/q'; the sqrt(d) coefficient fixes p' and q'."""
+    (al, be), (ga, de) = m
+    num, den = al * x.p + be * x.q, ga * x.p + de * x.q
+    r = x.q * (al * de - be * ga)
+    p, p_rem = divmod(num * den - al * ga * x.d, r)
+    q, q_rem = divmod(den * den - ga * ga * x.d, r)
+    assert p_rem == q_rem == 0, (m, x)
+    return QuadIrrational(p, q, x.d)
+
+
+def mat_mul(m, n):
+    (a, b), (c, d) = m
+    (e, f), (g, h) = n
+    return (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
+
+
+def mat_pow(m, k):
+    # m**k for k >= 1, by squaring.
+    out = m if k & 1 else ((1, 0), (0, 1))
+    k >>= 1
+    while k:
+        m = mat_mul(m, m)
+        if k & 1:
+            out = mat_mul(out, m)
+        k >>= 1
+    return out
+
+
+def cf_matrix(terms, kind):
+    # x = a + 1/y (regular) or a - 1/y (minus) is the Moebius map
+    # ((a, +-1), (1, 0)).  A run of k equal terms (minus periods hold long
+    # runs of 2s) is its k-th power, and the runs multiply pairwise, so the
+    # large entries meet in few products.
+    sign = 1 if kind == "regular" else -1
+    ms = [mat_pow(((a, sign), (1, 0)), len(list(run))) for a, run in groupby(terms)]
+    while len(ms) > 1:
+        ms = [mat_mul(*ms[i : i + 2]) if i + 1 < len(ms) else ms[i] for i in range(0, len(ms), 2)]
+    return ms[0] if ms else ((1, 0), (0, 1))
+
+
+def exceeds_one(y):
+    # (p + sqrt(d))/q > 1, in integers.
+    t = y.q - y.p
+    return t < 0 or t * t < y.d if y.q > 0 else t > 0 and t * t > y.d
+
+
+def test_cf_roundtrip_exact():
+    # The samples of test_cf_roundtrip_random.  The inverse of the
+    # preperiod's matrix maps x to its purely periodic tail y > 1, and the
+    # period's matrix fixes y, both in exact Q(sqrt(d)) arithmetic.
+    rng = random.Random(20)
+    checked = 0
+    while checked < 1000:
+        d = rng.randrange(2, 10**6)
+        if math.isqrt(d) ** 2 == d:
+            continue
+        p = rng.randrange(-50, 50)
+        q = rng.randrange(-30, 30)
+        if q == 0:
+            continue
+        x = QuadIrrational(p, q, d)
+        for expand in (cf_expand, hj_cf_expand):
+            cf = expand(x)
+            (m00, m01), (m10, m11) = cf_matrix(cf.preperiod, cf.kind)
+            y = moebius(((m11, -m01), (-m10, m00)), x)
+            assert exceeds_one(y), (x, cf)
+            assert moebius(cf_matrix(cf.period, cf.kind), y) == y, (x, cf)
+        checked += 1
+
+
 def test_cf_minimality_of_period():
     for x in (QuadIrrational(0, 1, 2), QuadIrrational(3, 2, 5), QuadIrrational(0, 1, 13)):
         cf = cf_expand(x)
@@ -228,6 +304,15 @@ def test_pell_relation_sampled():
             continue
         eps = fundamental_unit(delta)
         assert eps.t * eps.t - eps.u * eps.u * delta == 4 * eps.norm
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(10**8, (1 << 31) - 1), st.sampled_from((4, -4)))
+def test_unit_generated_units_at_62_bits(n, s):
+    # The unit of the order of discriminant n**2 + s is (n + sqrt(delta))/2,
+    # of norm -1 for n**2 + 4 and +1 for n**2 - 4.
+    eps = fundamental_unit(n * n + s)
+    assert (eps.t, eps.u, eps.norm) == (n, 1, -s // 4)
 
 
 def test_regulator_values():

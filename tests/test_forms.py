@@ -5,8 +5,10 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ugo.cfrac import fundamental_unit
+from ugo.cfrac import _rho_step, fundamental_unit
 from ugo.forms import (
     BQF,
     NARROW,
@@ -15,6 +17,7 @@ from ugo.forms import (
     _class_data,
     _ClassData,
     _compose_raw,
+    _reduce_indefinite,
     _square_raw,
     class_number,
     class_witness,
@@ -29,6 +32,7 @@ from ugo.forms import (
     rho,
     wide_class_group,
 )
+from ugo.intarith import is_discriminant, primes_up_to, sqrt_mod_prime
 from ugo.orders import _mu, decompose
 
 
@@ -506,3 +510,66 @@ def test_class_group_structure_validation():
     assert not s.is_two_torsion()
     assert str(s) == "2x4"
     assert str(ClassGroupStructure(1, (), "wide")) == "1"
+
+
+# Form arithmetic at the top of the input range, 10**17 <= delta < 2**62.
+BIG_DISCRIMINANTS = st.integers(10**17, (1 << 62) - 1).map(lambda x: x - (x & 2)).filter(
+    is_discriminant
+)
+ODD_PRIMES = primes_up_to(1000)[1:]
+BIG = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def split_prime_forms(delta, start):
+    """The prime forms (p, b, (b*b - delta)/4p) of the odd primes p from
+    ODD_PRIMES[start] on with (delta/p) = 1."""
+    out = []
+    for p in ODD_PRIMES[start:]:
+        b = sqrt_mod_prime(delta % p, p)  # 0 when p | delta, None when inert
+        if b:
+            b = p - b if (b ^ delta) & 1 else b
+            out.append((p, b, (b * b - delta) // (4 * p)))
+    return out
+
+
+@BIG
+@given(BIG_DISCRIMINANTS, st.integers(0, 100))
+def test_square_raw_is_compose_raw_at_62_bits(delta, start):
+    for f in split_prime_forms(delta, start)[:3]:
+        assert _square_raw(*f) == _compose_raw(f, f)
+
+
+@BIG
+@given(BIG_DISCRIMINANTS, st.integers(0, 100))
+def test_compose_raw_keeps_delta_and_primitivity_at_62_bits(delta, start):
+    f, g, h = split_prime_forms(delta, start)[:3]
+    fg = _compose_raw(f, g)
+    for form in (fg, _compose_raw(fg, h), _compose_raw(fg, fg)):
+        assert BQF(*form).discriminant() == delta
+        assert BQF(*form).is_primitive()
+
+
+@BIG
+@given(BIG_DISCRIMINANTS, st.integers(0, 100))
+def test_reduce_indefinite_ends_reduced_at_62_bits(delta, start):
+    w = math.isqrt(delta)
+    f, g = split_prime_forms(delta, start)[:2]
+    for form in (f, _compose_raw(f, g), _square_raw(*_compose_raw(f, g))):
+        reduced = BQF(*_reduce_indefinite(delta, w, *form))
+        assert is_reduced(reduced, delta)
+
+
+@BIG
+@given(BIG_DISCRIMINANTS, st.integers(0, 100))
+def test_rho_step_is_invertible_on_reduced_forms_at_62_bits(delta, start):
+    # rho of the reversal (c', b', c) of rho(a, b, c) = (c, b', c') is the
+    # reversal (c, b, a) of (a, b, c).
+    w = math.isqrt(delta)
+    f, g = split_prime_forms(delta, start)[:2]
+    a, b, c = _reduce_indefinite(delta, w, *_compose_raw(f, g))
+    for _ in range(8):
+        _, nb, nc = _rho_step(delta, w, b, c)
+        assert is_reduced(BQF(c, nb, nc), delta)
+        assert is_reduced(BQF(nc, nb, c), delta)
+        assert _rho_step(delta, w, nb, c)[1:] == (b, a)
+        a, b, c = c, nb, nc

@@ -545,7 +545,7 @@ def test_verify_conductor_builds_each_delta0_once(monkeypatch):
 
 
 def test_verify_conductor_checks_every_non_maximal_delta_to_the_bound():
-    # The first pass predicts f**2 * delta0 for f >= 2 up to the bound
+    # Each worker predicts f**2 * delta0 for f >= 2 up to the bound
     # itself: 20 = 2**2 * 5 is the first non-maximal delta, 32 = 2**2 * 8
     # the second.
     non_maximal = [d for d in NON_MAXIMAL_TO_5000 if d <= 300]
@@ -559,46 +559,22 @@ def test_verify_conductor_checks_every_non_maximal_delta_to_the_bound():
 
 
 def test_verify_conductor_walks_each_principal_cycle_once(monkeypatch):
-    # The predictions come from the first pass, delta0 by delta0, so each
-    # fundamental unit is built once (a cache miss) and serves all its f;
-    # the second pass only compares.
+    # A worker predicts delta0 by delta0, so each fundamental unit is built
+    # once (a cache miss) and serves all its f.
     real = relations.predicted_class_number
-    real_chunk = search._conductor_chunk
-    inside = []
     calls = []
 
-    def chunk_spy(chunk):
-        inside.append(True)
-        try:
-            return real_chunk(chunk)
-        finally:
-            inside.pop()
-
     def formula_spy(delta0, f, h0):
-        calls.append(bool(inside))
+        calls.append((delta0, f))
         return real(delta0, f, h0)
 
-    monkeypatch.setattr(search, "_conductor_chunk", chunk_spy)
     monkeypatch.setattr(relations, "predicted_class_number", formula_spy)
     cfrac.fundamental_unit.cache_clear()
     report = search.verify_conductor(5000)
     assert report.passed, report.failures
     assert report.checked == len(calls) == 914
-    assert not any(calls)
     delta0s = {decompose(d).delta0 for d in NON_MAXIMAL_TO_5000}
     assert cfrac.fundamental_unit.cache_info().misses == len(delta0s)
-
-
-def test_verify_conductor_needs_a_prediction_for_every_non_maximal_delta(monkeypatch):
-    real = search._class_number_chunk
-
-    def last_one_lost(chunk):
-        deltas, predicted = real(chunk)
-        return deltas[:-1], predicted[:-1]
-
-    monkeypatch.setattr(search, "_class_number_chunk", last_one_lost)
-    with pytest.raises(ArithmeticError, match="no conductor-formula prediction"):
-        search.verify_conductor(5000)
 
 
 def test_verify_conductor_reports_smallest_failures(monkeypatch, capsys):
@@ -610,7 +586,7 @@ def test_verify_conductor_reports_smallest_failures(monkeypatch, capsys):
     monkeypatch.setattr(relations, "predicted_class_number", wrong_at_f_2_and_3)
     wrong = sorted(d for d in NON_MAXIMAL_TO_5000 if decompose(d).conductor in (2, 3))
     expected = [f"conductor formula mismatch at delta={d}" for d in wrong[:20]]
-    for jobs in (1, 2):
+    for jobs in (1, 2, 3):
         report = search.verify_conductor(5000, jobs=jobs)
         assert report.checked == 914
         assert report.failures == expected, jobs
@@ -727,6 +703,28 @@ def test_verify_group_axioms_reports_smallest_failures(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"group-axioms: FAIL ({report.checked} checks)"
     assert out[1:] == [f"  counterexample: {e}" for e in report.failures]
+
+
+def test_verify_group_axioms_checks_each_delta_once(monkeypatch, capsys):
+    # Each delta seeds its own class triples, so a repeat would add nothing:
+    # the random draws are distinct and lie above the exhaustive range.
+    seen = []
+    real = search._axioms_chunk
+
+    def spy(deltas):
+        seen.extend(deltas)
+        return real(deltas)
+
+    monkeypatch.setattr(search, "_axioms_chunk", spy)
+    report = search.verify_group_axioms(10**4)
+    assert report.passed, report.failures
+    assert max(Counter(seen).values()) == 1
+    small = [d for d in range(5, 2001) if is_discriminant(d)]
+    assert seen[: len(small)] == small
+    assert all(2000 < d <= 10**4 for d in seen[len(small) :])
+    assert report.checked == 21 * len(seen)
+    assert cli.main(["verify", "group-axioms", "--max-delta", "5"]) == 0
+    assert capsys.readouterr().out == "group-axioms: pass (21 checks)\n"
 
 
 def test_cli_scan_overflow_exit_code(tmp_path):
