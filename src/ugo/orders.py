@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import cfrac
 from .intarith import conductor_split, factor, is_discriminant
@@ -57,6 +58,9 @@ class OrderDescriptor:
         return matches[0] if matches else None
 
 
+# One entry: a row's filter or squarefree test and then its class data ask
+# for the same delta back to back, so they share one factorization.
+@lru_cache(maxsize=1)
 def decompose(delta: int) -> OrderDescriptor:
     """Validate and factor a discriminant once, and split off its conductor."""
     if not is_discriminant(delta):

@@ -24,21 +24,21 @@ Scan rows, the 2-torsion filters and `inspect` share one builder,
 it runs the class data's cross-checks: h+/h against the unit norm, h+
 against 2**(mu-1), and the 2-rank of both chains against mu.
 
-The verification suites split their range into chunks for the same runner
-and one merge.  The parity, genus and conductor suites read h+, h and
+The verification suites split their items by one rule, `_chunks`, for the
+same runner and one merge; each chunk spans the whole range, so all cost
+about the same.  The parity, genus and conductor suites read h+, h and
 |Cl+[2]| from the range sweep (`sweep.class_numbers`) and build no class
-group; a bound past MAX_SWEEP_DELTA raises BoundError before any check, and
-they run ranges of delta of shrinking cost from the top down.  The parity
-and genus suites factor each delta once, for its parity shapes and for mu
-and omega.  The conductor suite runs one pass over the fundamental
-delta0 <= max_delta/4, found by one sieve over f of the conductors up to
-max_delta/4 (5 MB of int16 at 10**7).  Each worker sweeps h(delta0) for
-its range, predicts h(f**2*delta0) for every f >= 2 in turn by
-`relations.predicted_class_number`, so the principal cycle of each delta0
-is walked once, then sweeps those f**2*delta0 and compares.  Each
+group; a bound past MAX_SWEEP_DELTA raises BoundError before any check.
+The parity and genus suites factor each delta once, for its parity shapes
+and for mu and omega.  The conductor suite runs one pass over the
+fundamental delta0 <= max_delta/4, found by one sieve over f of the
+conductors up to max_delta/4 (5 MB of int16 at 10**7).  Each worker sweeps
+h(delta0) for its delta0, predicts h(f**2*delta0) for every f >= 2 in turn
+by `relations.predicted_class_number`, so the principal cycle of each
+delta0 is walked once, then sweeps those f**2*delta0 and compares.  Each
 non-maximal delta is f**2*delta0 for one fundamental delta0 and one f, so
-every one is checked once.  The cf suite takes equal ranges of n, and the
-group-axioms suite chunks its list of distinct sampled delta.
+every one is checked once.  The cf suite chunks the n, and the
+group-axioms suite its list of distinct sampled delta.
 Workers return failures as (delta or n, message), and every suite reports
 the 20 smallest in ascending order, whatever the chunking.
 """
@@ -51,7 +51,6 @@ import logging
 import math
 import os
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import islice
@@ -459,18 +458,14 @@ class VerifyReport:
         return not self.failures
 
 
-def _valid_deltas(lo: int, hi: int):
-    return filter(is_discriminant, range(lo, hi + 1))
-
-
 def _smallest_failures(failures):
     # (delta, message) pairs: the _MAX_FAILURES smallest delta, in ascending
     # order; messages at one delta keep the order they were found in.
     return heapq.nsmallest(_MAX_FAILURES, failures, key=itemgetter(0))
 
 
-def _parity_chunk(bounds: tuple[int, int]):
-    deltas = list(_valid_deltas(*bounds))
+def _parity_chunk(candidates: range):
+    deltas = list(filter(is_discriminant, candidates))
     h_plus, h, _ = sweep.class_numbers(deltas)
     failures = []
     for delta, hp, hw in zip(deltas, h_plus.tolist(), h.tolist()):
@@ -488,8 +483,8 @@ def _parity_chunk(bounds: tuple[int, int]):
     return len(deltas), _smallest_failures(failures)
 
 
-def _genus_chunk(bounds: tuple[int, int]):
-    deltas = list(_valid_deltas(*bounds))
+def _genus_chunk(candidates: range):
+    deltas = list(filter(is_discriminant, candidates))
     two_torsion = sweep.class_numbers(deltas)[2]
     failures = []
     for delta, count in zip(deltas, two_torsion.tolist()):
@@ -506,12 +501,11 @@ def _genus_chunk(bounds: tuple[int, int]):
     return len(deltas), _smallest_failures(failures)
 
 
-def _conductor_chunk(chunk: tuple[np.ndarray, int]):
-    # h(delta0) of a range of fundamental delta0 from the sweep, the
+def _conductor_chunk(max_delta: int, delta0s: np.ndarray):
+    # h(delta0) of a chunk of fundamental delta0 from the sweep, the
     # conductor-formula prediction for every f**2 * delta0 <= max_delta with
     # f >= 2, and the sweep of those delta to compare.  The f of one delta0
     # follow one another, so its principal cycle is walked once.
-    delta0s, max_delta = chunk
     deltas = []
     predicted = []
     for delta0, h0 in zip(delta0s.tolist(), sweep.class_numbers(delta0s)[1].tolist()):
@@ -525,10 +519,10 @@ def _conductor_chunk(chunk: tuple[np.ndarray, int]):
     return len(deltas), _smallest_failures(failures)
 
 
-def _cf_chunk(bounds: tuple[int, int]):
+def _cf_chunk(ns: range):
     checked = 0
     failures = []
-    for n in range(bounds[0], bounds[1] + 1):
+    for n in ns:
         for family in (PLUS, MINUS) if n >= 3 else (MINUS,):
             checked += 1
             if not cfrac.verify_parametric_cf(UnitGeneratedParam(family, n)):
@@ -568,10 +562,13 @@ def _axioms_chunk(deltas: list[int]):
     return checked, _smallest_failures(failures)
 
 
-def _ranges(lo: int, hi: int, jobs: int, least: int) -> list[tuple[int, int]]:
-    # About 16 equal ranges per worker, each at least `least` long.
-    step = max(least, (hi - lo + 1) // (max(jobs, 1) * 16) + 1)
-    return [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
+def _chunks(items, jobs: int) -> list:
+    # k = 16*jobs + 1 chunks, chunk i taking every k-th item from item i on:
+    # all span the whole range, so they cost about the same whatever one item
+    # costs, and k is odd, so a chunk of range(5, N + 1) meets delta = 0 and
+    # 1 (mod 4) alike.  A sliced range pickles in O(1).
+    k = 16 * max(jobs, 1) + 1
+    return [items[i::k] for i in range(min(k, len(items)))]
 
 
 def _conductors(max_delta: int) -> np.ndarray:
@@ -587,40 +584,11 @@ def _conductors(max_delta: int) -> np.ndarray:
     return cond
 
 
-def _sweep_ranges(lo: int, hi: int, jobs: int, max_delta: int = 0) -> list[tuple[int, int]]:
-    # Ranges of [lo, hi] from the top down, of shrinking cost.  The sweep
-    # costs about sqrt(delta) per discriminant, so [5, x] costs about
-    # x*sqrt(x)*2/3.  A nonzero max_delta adds the conductor-formula checks
-    # of each delta0, about sqrt(max_delta/delta0) of them, each costing
-    # about as much as 20 units of sqrt(delta0) of the sweep and the unit
-    # walk (6 us against 0.3 us): 40*sqrt(max_delta*x) over [5, x].  The
-    # sweep of those f**2*delta0 costs sum(f*sqrt(delta0)), about
-    # max_delta/(2*sqrt(delta0)) per delta0, at 0.3 of a unit of the sweep
-    # and the walk of delta0 (fitted serially at max_delta 1.5*10**5 and
-    # 10**6): 0.3*max_delta*sqrt(x) over [5, x].  Each
-    # range takes 1/(4*jobs) of the cost left, and at least 1/(64*jobs) of
-    # the whole, so a pool ends on light ranges and no worker waits long
-    # for the other at the end.
-    def cost(x: int) -> float:
-        rx = math.sqrt(x)
-        return x * rx * 2 / 3 + 40 * math.sqrt(max_delta * x) + 0.3 * max_delta * rx
-
-    jobs = max(jobs, 1)
-    xs = range(lo - 1, hi + 1)
-    least = (cost(hi) - cost(lo - 1)) / (64 * jobs)
-    ranges = []
-    while hi >= lo:
-        share = max((cost(hi) - cost(lo - 1)) / (4 * jobs), least)
-        x = min(xs[max(bisect_right(xs, cost(hi) - share, key=cost) - 1, 0)], hi - 1)
-        ranges.append((x + 1, hi))
-        hi = x
-    return ranges
-
-
-def _verify(suite: str, worker, chunks: list, jobs: int, max_delta: int) -> VerifyReport:
-    # One chunk per dispatch (the default chunksize of _run): batching
-    # chunks leaves the heaviest batch to run last.
-    results = list(_run(worker, chunks, jobs, max_delta))
+def _verify(suite: str, worker, items, jobs: int, max_delta: int) -> VerifyReport:
+    # One chunk per dispatch (the default chunksize of _run): the chunks
+    # cost about the same, so the workers finish within one chunk of each
+    # other.
+    results = list(_run(worker, _chunks(items, jobs), jobs, max_delta))
     failures = _smallest_failures(f for r in results for f in r[1])
     return VerifyReport(suite, sum(r[0] for r in results), [m for _, m in failures])
 
@@ -633,17 +601,14 @@ def _check_sweep_bound(max_delta: int) -> None:
 def verify_parity(max_delta: int, jobs: int = 1) -> VerifyReport:
     """Predicates vs swept parities for all 0 < delta <= max_delta."""
     _check_sweep_bound(max_delta)
-    # A check walks the principal cycle, which also grows like sqrt(delta).
-    chunks = _sweep_ranges(5, max_delta, jobs)
-    return _verify("parity", _parity_chunk, chunks, jobs, max_delta)
+    return _verify("parity", _parity_chunk, range(5, max_delta + 1), jobs, max_delta)
 
 
 def verify_genus(max_delta: int, jobs: int = 1) -> VerifyReport:
     """2**(mu-1) = |Cl+[2]| from the sweep, and mu - 1 <= omega, for all
     0 < delta <= max_delta."""
     _check_sweep_bound(max_delta)
-    chunks = _sweep_ranges(5, max_delta, jobs)
-    return _verify("genus", _genus_chunk, chunks, jobs, max_delta)
+    return _verify("genus", _genus_chunk, range(5, max_delta + 1), jobs, max_delta)
 
 
 def verify_conductor(max_delta: int, jobs: int = 1) -> VerifyReport:
@@ -652,18 +617,16 @@ def verify_conductor(max_delta: int, jobs: int = 1) -> VerifyReport:
     fundamental delta0 <= max_delta/4 and one f >= 2, so one pass over those
     delta0 predicts, sweeps and compares every one of them."""
     _check_sweep_bound(max_delta)
-    cond = _conductors(max_delta // 4)
-    chunks = (
-        (np.flatnonzero(cond[lo : hi + 1] == 1) + lo, max_delta)
-        for lo, hi in _sweep_ranges(5, max_delta // 4, jobs, max_delta)
-    )
-    return _verify("conductor", _conductor_chunk, chunks, jobs, max_delta)
+    # The squares 0, 1 and 4 have conductor 0, so every delta0 is >= 5.
+    delta0s = np.flatnonzero(_conductors(max_delta // 4) == 1)
+    worker = partial(_conductor_chunk, max_delta)
+    return _verify("conductor", worker, delta0s, jobs, max_delta)
 
 
 def verify_cf(max_n: int, jobs: int = 1) -> VerifyReport:
     """Parametric continued fraction forms for both families up to max_n;
     failures are keyed by n."""
-    return _verify("cf", _cf_chunk, _ranges(1, max_n, jobs, 64), jobs, 0)
+    return _verify("cf", _cf_chunk, range(1, max_n + 1), jobs, 0)
 
 
 def verify_group_axioms(max_delta: int, jobs: int = 1) -> VerifyReport:
@@ -672,9 +635,9 @@ def verify_group_axioms(max_delta: int, jobs: int = 1) -> VerifyReport:
     (2000, max_delta] that are discriminants."""
     rng = random.Random(_AXIOM_SEED)
     draws = rng.sample(range(2001, max_delta + 1), min(60, max(max_delta - 2000, 0)))
-    deltas = [*_valid_deltas(5, min(max_delta, 2000)), *filter(is_discriminant, draws)]
-    chunks = [deltas[a : b + 1] for a, b in _ranges(0, len(deltas) - 1, jobs, 1)]
-    return _verify("group-axioms", _axioms_chunk, chunks, jobs, max_delta)
+    small = range(5, min(max_delta, 2000) + 1)
+    deltas = list(filter(is_discriminant, [*small, *draws]))
+    return _verify("group-axioms", _axioms_chunk, deltas, jobs, max_delta)
 
 
 VERIFY_SUITES = {

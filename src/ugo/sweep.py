@@ -56,7 +56,7 @@ up to at most _WINDOW_PAIRS = 2**14, about 85 discriminants near 1.5*10**5
 and 32 near 10**6, and it takes about 85 bytes per pair: 1.4 MB.  The root
 table takes 2 bytes per unit of the largest delta (an int32 pointer per
 slot, a uint16 root and gcd per root; 0.3 MB at 1.5*10**5, 20 MB at
-10**7), and it is built on the first call, not at import.
+10**7); a call builds it for its largest delta before its first window.
 """
 
 from __future__ import annotations
@@ -216,6 +216,9 @@ def class_numbers(deltas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("deltas must ascend strictly within [5, MAX_DELTA]")
     if np.any((deltas & 3 > 1) | (_isqrt(deltas) ** 2 == deltas)):
         raise ValueError("deltas must be discriminants")
+    # The root table for the largest delta, built once: the slot layout does
+    # not depend on amax, so every window reads it unchanged.
+    _root_table(math.isqrt((int(deltas[-1]) - 1) >> 2))
     # Windows of consecutive deltas with at most _WINDOW_PAIRS pairs (delta, a).
     queries = np.cumsum(_isqrt((deltas - 1) >> 2))
     i = 0

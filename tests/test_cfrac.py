@@ -95,10 +95,13 @@ def test_quad_irrational_normalization():
         QuadIrrational(1, 2, -4)
 
 
-def test_cf_roundtrip_random():
+@pytest.fixture(scope="module")
+def roundtrip_samples():
+    # 1,000 seeded quadratic irrationals x, each with its regular and minus
+    # expansions, expanded once for both round-trip tests.
     rng = random.Random(20)
-    checked = 0
-    while checked < 1000:
+    samples = []
+    while len(samples) < 1000:
         d = rng.randrange(2, 10**6)
         if math.isqrt(d) ** 2 == d:
             continue
@@ -107,9 +110,14 @@ def test_cf_roundtrip_random():
         if q == 0:
             continue
         x = QuadIrrational(p, q, d)
+        samples.append((x, (cf_expand(x), hj_cf_expand(x))))
+    return samples
+
+
+def test_cf_roundtrip_random(roundtrip_samples):
+    for x, expansions in roundtrip_samples:
         val = x.value()
-        for expand in (cf_expand, hj_cf_expand):
-            cf = expand(x)
+        for cf in expansions:
             # Runs of 2s make minus expansions converge one full period at a
             # time, so give those enough terms to cover 25 periods.
             count = 50 if cf.kind == "regular" else max(
@@ -120,7 +128,6 @@ def test_cf_roundtrip_random():
                 assert all(a >= 1 for a in cf.preperiod[1:] + cf.period)
             else:
                 assert all(a >= 2 for a in cf.period)
-        checked += 1
 
 
 def moebius(m, x):
@@ -172,28 +179,16 @@ def exceeds_one(y):
     return t < 0 or t * t < y.d if y.q > 0 else t > 0 and t * t > y.d
 
 
-def test_cf_roundtrip_exact():
-    # The samples of test_cf_roundtrip_random.  The inverse of the
-    # preperiod's matrix maps x to its purely periodic tail y > 1, and the
-    # period's matrix fixes y, both in exact Q(sqrt(d)) arithmetic.
-    rng = random.Random(20)
-    checked = 0
-    while checked < 1000:
-        d = rng.randrange(2, 10**6)
-        if math.isqrt(d) ** 2 == d:
-            continue
-        p = rng.randrange(-50, 50)
-        q = rng.randrange(-30, 30)
-        if q == 0:
-            continue
-        x = QuadIrrational(p, q, d)
-        for expand in (cf_expand, hj_cf_expand):
-            cf = expand(x)
+def test_cf_roundtrip_exact(roundtrip_samples):
+    # The inverse of the preperiod's matrix maps x to its purely periodic
+    # tail y > 1, and the period's matrix fixes y, both in exact Q(sqrt(d))
+    # arithmetic.
+    for x, expansions in roundtrip_samples:
+        for cf in expansions:
             (m00, m01), (m10, m11) = cf_matrix(cf.preperiod, cf.kind)
             y = moebius(((m11, -m01), (-m10, m00)), x)
             assert exceeds_one(y), (x, cf)
             assert moebius(cf_matrix(cf.period, cf.kind), y) == y, (x, cf)
-        checked += 1
 
 
 def test_cf_minimality_of_period():

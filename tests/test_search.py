@@ -344,27 +344,31 @@ def factor_calls(monkeypatch):
 
 def test_delta_factored_once(factor_calls):
     # The discriminant record of the class data is the one factorization of
-    # delta behind a scan row, an inspect report and a verify-suite check.
-    for family in ("plus", "minus"):
-        for n in (4901, 4902, 4903):
-            factor_calls.clear()
-            row = evaluate_task(family, n, "all")
-            assert factor_calls[abs(row.delta)] == 1, (family, n)
+    # delta behind a scan row, an inspect report and a verify-suite check;
+    # a maximal-only filter and a chowla squarefree test reuse it.
+    for flt in ("all", "maximal-only"):
+        for family in ("plus", "minus"):
+            for n in (4901, 4902, 4903):
+                decompose.cache_clear()
+                factor_calls.clear()
+                evaluate_task(family, n, flt)
+                assert factor_calls[family_discriminant(family, n)] == 1, (flt, family, n)
     for delta in (725, 68640, 100000001):
         forms._class_data.cache_clear()
+        decompose.cache_clear()
         factor_calls.clear()
         inspect_report(delta)
         assert factor_calls[delta] == 1, delta
     for chunk in (search._parity_chunk, search._genus_chunk):
         for delta in (1000, 1001, 1004, 1005):
             factor_calls.clear()
-            assert chunk((delta, delta)) == (1, [])
+            assert chunk(range(delta, delta + 1)) == (1, [])
             assert factor_calls[delta] == 1, (chunk.__name__, delta)
-    # A chowla row first tests 4n**2+1 for squarefreeness.
     for n in (4901, 4903, 4905):
+        decompose.cache_clear()
         factor_calls.clear()
         row = evaluate_task("chowla", n, "all")
-        assert factor_calls[row.delta] <= 2, n
+        assert factor_calls[row.delta] == 1, n
 
 
 def test_narrow_chain_computed_once_per_row(monkeypatch):
@@ -623,7 +627,7 @@ def test_verify_genus_reports_smallest_failures(monkeypatch, capsys):
         f"|Cl+[2]| != 2^(mu-1) at delta={d}: {g + 1} vs {g}"
         for d, g in zip(wrong[:20], map(genus.genus_group_order, wrong))
     ]
-    for jobs in (1, 2):
+    for jobs in (1, 2, 3):
         report = search.verify_genus(5000, jobs=jobs)
         assert report.checked == DISCRIMINANTS_TO_5000
         assert report.failures == expected, jobs
@@ -650,16 +654,40 @@ def test_merged_even_factors_break_the_two_rank(monkeypatch, delta):
             build(delta)
 
 
+@pytest.mark.parametrize(
+    "items", [range(5, 1000), list(range(3, 700, 7)), np.arange(40, 900, dtype=np.int64)]
+)
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_chunks_take_every_item_once(items, jobs):
+    chunks = search._chunks(items, jobs)
+    assert len(chunks) == 16 * jobs + 1
+    assert sorted(x for chunk in chunks for x in chunk) == list(items)
+
+
+def test_chunks_of_few_items_and_of_none():
+    assert [list(c) for c in search._chunks(range(5, 10), 2)] == [[5], [6], [7], [8], [9]]
+    assert search._chunks([], 2) == []
+    assert search._chunks(range(5, 5), 1) == []
+
+
+def test_chunks_of_deltas_meet_both_residues():
+    # k = 16*jobs + 1 is odd, so each chunk meets every residue mod 4, the
+    # discriminants' 0 and 1 among them.
+    for jobs in (1, 2, 3):
+        for chunk in search._chunks(range(5, 10**4), jobs):
+            assert {d % 4 for d in chunk} == {0, 1, 2, 3}, jobs
+
+
 def test_verify_cf_and_group_axioms_honour_jobs(capsys):
     for argv, line in (
         (["verify", "cf", "--max-n", "500"], "cf: pass (998 checks)"),
         (["verify", "group-axioms", "--max-delta", "3000"], None),
     ):
         outs = []
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "3"):
             assert cli.main([*argv, "--jobs", jobs]) == 0, argv
             outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1], argv
+        assert outs[0] == outs[1] == outs[2], argv
         assert line is None or outs[0] == line + "\n"
 
 
@@ -670,7 +698,7 @@ def test_verify_cf_reports_smallest_failures(monkeypatch, capsys):
     )
     wrong = [(n, f) for n in range(7, 501, 20) for f in ("plus", "minus")]
     expected = [f"{f}-family expansion mismatch at n={n}" for n, f in wrong[:20]]
-    for jobs in (1, 2):
+    for jobs in (1, 2, 3):
         report = search.verify_cf(500, jobs=jobs)
         assert report.checked == 998
         assert report.failures == expected, jobs
@@ -719,6 +747,7 @@ def test_verify_group_axioms_checks_each_delta_once(monkeypatch, capsys):
     report = search.verify_group_axioms(10**4)
     assert report.passed, report.failures
     assert max(Counter(seen).values()) == 1
+    seen.sort()
     small = [d for d in range(5, 2001) if is_discriminant(d)]
     assert seen[: len(small)] == small
     assert all(2000 < d <= 10**4 for d in seen[len(small) :])

@@ -124,5 +124,25 @@ def test_sweep_raises_on_odd_h_plus_with_tau_off_the_principal_cycle():
 
 def test_parity_chunk_of_one_delta():
     for delta in (5, 8, 12, 13, 1000, 1001, 19997):
-        assert search._parity_chunk((delta, delta)) == (1, [])
-    assert search._parity_chunk((9, 9)) == (0, [])
+        assert search._parity_chunk(range(delta, delta + 1)) == (1, [])
+    assert search._parity_chunk(range(9, 10)) == (0, [])
+
+
+def test_root_table_built_once_per_call(monkeypatch):
+    # The windows climb from the smallest delta, so a table grown window by
+    # window would be rebuilt each time; it is built for the largest delta
+    # before the first window.  Every table returned is kept, so distinct
+    # builds have distinct ids.
+    monkeypatch.setattr(sweep, "_table", None)
+    monkeypatch.setattr(sweep, "_table_a", 0)
+    tables = []
+    real = sweep._root_table
+
+    def spy(amax):
+        tables.append(real(amax))
+        return tables[-1]
+
+    monkeypatch.setattr(sweep, "_root_table", spy)
+    sweep.class_numbers([d for d in range(5, 20001) if is_discriminant(d)])
+    assert len(tables) >= 4  # the call's own build and at least 3 windows
+    assert len({id(t) for t in tables}) == 1
