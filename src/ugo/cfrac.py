@@ -20,8 +20,6 @@ from itertools import chain, cycle, islice
 
 from .intarith import conductor_split, factor, is_discriminant
 
-_LOG_CUTOFF_BITS = 48
-
 
 def _check_positive_discriminant(delta: int) -> None:
     if delta <= 0 or not is_discriminant(delta):
@@ -92,18 +90,16 @@ class QuadUnit:
             raise ValueError("t**2 - u**2*delta must equal 4*norm")
 
 
-def _log_int(x: int) -> float:
-    if x.bit_length() <= _LOG_CUTOFF_BITS:
-        return math.log(x)
-    e = x.bit_length() - _LOG_CUTOFF_BITS
-    return math.log(x >> e) + e * math.log(2)
-
-
 def log_embedding(t: int, u: int, delta: int) -> float:
-    """log((t + u*sqrt(delta))/2) for t, u > 0, accurate to ~1e-15 relative."""
-    if t.bit_length() < _LOG_CUTOFF_BITS and u * u * delta < (1 << 100):
+    """log((t + u*sqrt(delta))/2) for t, u > 0, accurate to ~1e-15 relative.
+
+    Small units need the fractional part of sqrt(u*u*delta), so they stay
+    in floats; for the others t >= 2**47, so the integer square root is off
+    by less than 2**-47 relative, and `math.log` takes an int of any size.
+    """
+    if t.bit_length() < 48 and u * u * delta < 1 << 100:
         return math.log((t + math.sqrt(u * u * delta)) / 2)
-    return _log_int(t + math.isqrt(u * u * delta)) - math.log(2)
+    return math.log(t + math.isqrt(u * u * delta)) - math.log(2)
 
 
 def _canonical_cf(pre: tuple[int, ...], per: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -235,8 +231,6 @@ def unit_index(delta0: int, delta: int) -> int:
     _check_positive_discriminant(delta)
     if conductor_split(delta0, factor(delta0).pairs)[1] != 1:
         raise ValueError(f"{delta0} is not a fundamental discriminant")
-    if delta % delta0 != 0:
-        raise ValueError(f"{delta} is not of the form f**2*{delta0}")
     f = math.isqrt(delta // delta0)
     if f * f * delta0 != delta:
         raise ValueError(f"{delta} is not of the form f**2*{delta0}")

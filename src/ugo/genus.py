@@ -3,17 +3,18 @@
 The genus count mu(delta) depends only on the odd primes dividing the
 discriminant and its 2-adic congruence class (`orders._mu`, which `forms`
 also reads for its 2-rank check); the parity predicates are pure pattern
-matches on the factorization.  All of them read factor pairs: the public
-functions build the discriminant record (`orders.decompose`), scan rows and
-`inspect` pass the pairs their class data already carries, and the verify
-suites factor each delta once.
+matches on the factorization.  All of them read factor pairs: `mu` builds
+the discriminant record (`orders.decompose`), the parity predicates factor
+delta, scan rows and `inspect` pass the pairs their class data already
+carries, and the verify suites factor each delta once.  One function,
+`_odd_parities`, reads both parity shapes, narrow and wide, in one pass.
 """
 
 from __future__ import annotations
 
 from .cfrac import _check_positive_discriminant
 from .forms import ClassGroupStructure, _class_data
-from .intarith import factor  # noqa: F401  (a binding perfbench/selftest.py checks)
+from .intarith import factor
 from .orders import _mu, decompose
 
 ODD = "odd"
@@ -47,16 +48,28 @@ def one_class_per_genus(delta: int) -> bool:
     return cd.check_genus_order(1 << (_mu(delta, cd.desc.pairs) - 1))
 
 
-def _narrow_odd(delta: int, pairs) -> bool:
-    # The narrow-odd shapes, read off the factor pairs of delta.
-    if delta == 8:
-        return True
-    odd_part = [(p, e) for p, e in pairs if p != 2]
+def _odd_parities(delta: int, pairs) -> tuple[bool, bool]:
+    # (narrow_odd, wide_odd), read off the factor pairs of delta in one
+    # pass.  Every narrow-odd shape is also wide-odd.  A discriminant is not
+    # a square, so the shapes below need no test that an exponent is odd.
+    odd_primes = [p for p, _ in pairs if p != 2]
     two_exp = next((e for p, e in pairs if p == 2), 0)
-    if len(odd_part) == 1 and two_exp in (0, 2):
-        p, r = odd_part[0]
-        return p % 4 == 1 and r % 2 == 1
-    return False
+    if not odd_primes:
+        # delta = 2**k with k odd: 8, and the pure powers from 32 on.
+        return delta == 8, delta == 8 or two_exp >= 5
+    if len(odd_primes) == 1:
+        p = odd_primes[0]
+        if two_exp in (0, 2) and p % 4 == 1:
+            return True, True
+        if two_exp == 2:
+            return False, delta % 16 == 12
+        if two_exp == 3:
+            return False, p % 4 == 3
+        return False, two_exp == 4
+    if len(odd_primes) == 2 and two_exp in (0, 2):
+        # Odd part 1 mod 4, with a prime 3 mod 4.
+        return False, (delta >> two_exp) % 4 == 1 and 3 in (p % 4 for p in odd_primes)
+    return False, False
 
 
 def narrow_parity_predicate(delta: int) -> str:
@@ -66,7 +79,7 @@ def narrow_parity_predicate(delta: int) -> str:
     for delta = 8.
     """
     _check_positive_discriminant(delta)
-    return ODD if _narrow_odd(delta, decompose(delta).pairs) else EVEN
+    return ODD if _odd_parities(delta, factor(delta).pairs)[0] else EVEN
 
 
 def wide_parity_predicate(delta: int) -> str:
@@ -78,37 +91,7 @@ def wide_parity_predicate(delta: int) -> str:
     number is always one).
     """
     _check_positive_discriminant(delta)
-    return ODD if _wide_odd(delta, decompose(delta).pairs) else EVEN
-
-
-def _wide_odd(delta: int, pairs) -> bool:
-    if _narrow_odd(delta, pairs):
-        return True
-    odd_part = [(p, e) for p, e in pairs if p != 2]
-    two_exp = next((e for p, e in pairs if p == 2), 0)
-    if not odd_part:
-        # delta = 2**k; discriminants require k odd, and k >= 5 here
-        return two_exp >= 5
-    if len(odd_part) == 2 and two_exp in (0, 2):
-        m = 1
-        for p, e in odd_part:
-            m *= p**e
-        if m % 4 == 1:
-            for (p, r), (q, s) in (
-                (odd_part[0], odd_part[1]),
-                (odd_part[1], odd_part[0]),
-            ):
-                if p % 4 == 3 and not (r % 2 == 0 and s % 2 == 0):
-                    return True
-    if len(odd_part) == 1:
-        p, r = odd_part[0]
-        if two_exp == 2 and delta % 16 == 12 and r % 2 == 1:
-            return True
-        if two_exp == 3 and p % 4 == 3:
-            return True
-        if two_exp == 4:
-            return True
-    return False
+    return ODD if _odd_parities(delta, factor(delta).pairs)[1] else EVEN
 
 
 def theorem_parity_checks(n: int, family: str) -> str | None:

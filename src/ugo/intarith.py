@@ -65,7 +65,7 @@ def spf_table(limit: int) -> np.ndarray:
     """
     global _spf_array
     if _spf_array is None or len(_spf_array) <= limit:
-        size = max(limit + 1, 1 << 16)
+        size = max(limit + 1, _TRIAL_BOUND + 1)
         spf = np.zeros(size, dtype=np.int32)
         for p in range(2, math.isqrt(size - 1) + 1):
             if spf[p] == 0:

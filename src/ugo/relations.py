@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import cfrac, forms
-from .intarith import factor, kronecker_symbol
+from .intarith import MAX_INPUT, factor, kronecker_symbol
 from .orders import PLUS, UnitGeneratedParam, decompose, is_fundamental_discriminant
 
 
@@ -55,7 +55,7 @@ def class_number_via_conductor(delta0: int, f: int) -> ConductorFormulaReport:
     if f < 1:
         raise ValueError("conductor must be >= 1")
     delta = f * f * delta0
-    if delta > 1 << 62:
+    if delta > MAX_INPUT:
         raise OverflowError(f"discriminant {delta} exceeds 2**62")
     h0 = forms.class_number(delta0)
     return ConductorFormulaReport(
@@ -91,6 +91,15 @@ def verify_conductor_formula(delta: int) -> bool:
     return report.h_predicted == forms.class_number(delta)
 
 
+def _real_members(samples):
+    # (family, n, delta) of the real members among (family, n) samples,
+    # plus family first, each family by n.
+    for family, n in sorted(samples, key=lambda s: (s[0] != PLUS, s[1])):
+        param = UnitGeneratedParam(family, n)
+        if param.is_real:
+            yield family, n, param.delta
+
+
 def hua_trend(samples) -> tuple[list[TrendSample], dict]:
     """Exact class numbers and log h / log n ratios for (family, n) samples.
 
@@ -98,11 +107,7 @@ def hua_trend(samples) -> tuple[list[TrendSample], dict]:
     so no pass/fail judgement is attached.
     """
     rows = []
-    for family, n in sorted(samples, key=lambda s: (s[0] != PLUS, s[1])):
-        param = UnitGeneratedParam(family, n)
-        if not param.is_real:
-            continue
-        delta = param.delta
+    for family, n, delta in _real_members(samples):
         h = forms.class_number(delta)
         ratio = math.log(h) / math.log(n) if n > 1 else float("nan")
         rows.append(TrendSample(family, n, delta, h, ratio))
@@ -126,11 +131,7 @@ def bounded_family_statistic(delta0_bound: int, samples) -> tuple[list, dict]:
     if delta0_bound < 5:
         raise ValueError("bound must be at least 5")
     rows = []
-    for family, n in sorted(samples, key=lambda s: (s[0] != PLUS, s[1])):
-        param = UnitGeneratedParam(family, n)
-        if not param.is_real:
-            continue
-        delta = param.delta
+    for family, n, delta in _real_members(samples):
         desc = decompose(delta)
         if desc.delta0 > delta0_bound:
             continue

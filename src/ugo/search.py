@@ -28,7 +28,8 @@ The verification suites split their items by one rule, `_chunks`, for the
 same runner and one merge; each chunk spans the whole range, so all cost
 about the same.  The parity, genus and conductor suites read h+, h and
 |Cl+[2]| from the range sweep (`sweep.class_numbers`) and build no class
-group; a bound past MAX_SWEEP_DELTA raises BoundError before any check.
+group; a bound past `sweep.MAX_DELTA` = 10**7 raises BoundError before any
+check.
 The parity and genus suites factor each delta once, for its parity shapes
 and for mu and omega.  The conductor suite runs one pass over the
 fundamental delta0 <= max_delta/4, found by one sieve over f of the
@@ -83,11 +84,6 @@ _AXIOM_TRIALS = 21
 _AXIOM_SEED = 1
 _MAX_FAILURES = 20
 _PREBUILT_MAX = 1 << 23
-# The largest bound of the swept suites, parity, genus and conductor.  At it
-# the conductor suite keeps an int16 conductor for every integer up to a
-# quarter of it, 5 MB, and each worker's sweep holds a 20 MB table of square
-# roots.
-MAX_SWEEP_DELTA = 10**7
 
 
 @dataclass(frozen=True)
@@ -305,10 +301,9 @@ def _prepare_tables(max_delta: int) -> None:
     spf_table(min(max(math.isqrt(max_delta) // 2, 1), _PREBUILT_MAX))
 
 
-def _run(fn, items, jobs: int, max_delta: int, chunksize: int = 1):
+def _run(fn, items, jobs: int, chunksize: int = 1):
     """Yield fn(item) for each item in order: serially when jobs <= 1,
     otherwise from `jobs` forked workers that draw items lazily."""
-    _prepare_tables(max_delta)
     if jobs <= 1:
         yield from map(fn, items)
         return
@@ -325,9 +320,9 @@ def iter_task_results(config: ScanConfig, done: int = 0):
     left = len(config.families) * (config.n_max - config.n_min + 1) - done
     chunk = max(1, min(64, left // (config.jobs * 8)))
     nn = config.n_max * config.n_max
-    max_delta = 4 * nn + 1 if CHOWLA in config.families else nn + 4
+    _prepare_tables(4 * nn + 1 if CHOWLA in config.families else nn + 4)
     fn = partial(_task_result, config.filter)
-    return _run(fn, islice(tasks, done, None), config.jobs, max_delta, chunk)
+    return _run(fn, islice(tasks, done, None), config.jobs, chunk)
 
 
 def iter_rows(config: ScanConfig):
@@ -469,11 +464,10 @@ def _parity_chunk(candidates: range):
     h_plus, h, _ = sweep.class_numbers(deltas)
     failures = []
     for delta, hp, hw in zip(deltas, h_plus.tolist(), h.tolist()):
-        pairs = factor(delta).pairs
-        narrow_odd = genus._narrow_odd(delta, pairs)
+        narrow_odd, wide_odd = genus._odd_parities(delta, factor(delta).pairs)
         if (hp % 2 == 1) != narrow_odd:
             failures.append((delta, f"narrow parity wrong at delta={delta} (h+={hp})"))
-        if (hw % 2 == 1) != genus._wide_odd(delta, pairs):
+        if (hw % 2 == 1) != wide_odd:
             failures.append((delta, f"wide parity wrong at delta={delta} (h={hw})"))
         norm = cfrac.unit_norm(delta)
         if not forms.unit_norm_agrees(hp, hw, norm):
@@ -584,31 +578,32 @@ def _conductors(max_delta: int) -> np.ndarray:
     return cond
 
 
-def _verify(suite: str, worker, items, jobs: int, max_delta: int) -> VerifyReport:
+def _verify(suite: str, worker, items, jobs: int) -> VerifyReport:
     # One chunk per dispatch (the default chunksize of _run): the chunks
     # cost about the same, so the workers finish within one chunk of each
-    # other.
-    results = list(_run(worker, _chunks(items, jobs), jobs, max_delta))
+    # other.  No more workers than chunks, so one chunk or none forks none.
+    chunks = _chunks(items, jobs)
+    results = list(_run(worker, chunks, min(jobs, len(chunks))))
     failures = _smallest_failures(f for r in results for f in r[1])
     return VerifyReport(suite, sum(r[0] for r in results), [m for _, m in failures])
 
 
 def _check_sweep_bound(max_delta: int) -> None:
-    if max_delta > MAX_SWEEP_DELTA:
-        raise BoundError(f"max_delta {max_delta} exceeds {MAX_SWEEP_DELTA}, the sweep limit")
+    if max_delta > sweep.MAX_DELTA:
+        raise BoundError(f"max_delta {max_delta} exceeds {sweep.MAX_DELTA}, the sweep limit")
 
 
 def verify_parity(max_delta: int, jobs: int = 1) -> VerifyReport:
     """Predicates vs swept parities for all 0 < delta <= max_delta."""
     _check_sweep_bound(max_delta)
-    return _verify("parity", _parity_chunk, range(5, max_delta + 1), jobs, max_delta)
+    return _verify("parity", _parity_chunk, range(5, max_delta + 1), jobs)
 
 
 def verify_genus(max_delta: int, jobs: int = 1) -> VerifyReport:
     """2**(mu-1) = |Cl+[2]| from the sweep, and mu - 1 <= omega, for all
     0 < delta <= max_delta."""
     _check_sweep_bound(max_delta)
-    return _verify("genus", _genus_chunk, range(5, max_delta + 1), jobs, max_delta)
+    return _verify("genus", _genus_chunk, range(5, max_delta + 1), jobs)
 
 
 def verify_conductor(max_delta: int, jobs: int = 1) -> VerifyReport:
@@ -620,13 +615,13 @@ def verify_conductor(max_delta: int, jobs: int = 1) -> VerifyReport:
     # The squares 0, 1 and 4 have conductor 0, so every delta0 is >= 5.
     delta0s = np.flatnonzero(_conductors(max_delta // 4) == 1)
     worker = partial(_conductor_chunk, max_delta)
-    return _verify("conductor", worker, delta0s, jobs, max_delta)
+    return _verify("conductor", worker, delta0s, jobs)
 
 
 def verify_cf(max_n: int, jobs: int = 1) -> VerifyReport:
     """Parametric continued fraction forms for both families up to max_n;
     failures are keyed by n."""
-    return _verify("cf", _cf_chunk, range(1, max_n + 1), jobs, 0)
+    return _verify("cf", _cf_chunk, range(1, max_n + 1), jobs)
 
 
 def verify_group_axioms(max_delta: int, jobs: int = 1) -> VerifyReport:
@@ -637,7 +632,7 @@ def verify_group_axioms(max_delta: int, jobs: int = 1) -> VerifyReport:
     draws = rng.sample(range(2001, max_delta + 1), min(60, max(max_delta - 2000, 0)))
     small = range(5, min(max_delta, 2000) + 1)
     deltas = list(filter(is_discriminant, [*small, *draws]))
-    return _verify("group-axioms", _axioms_chunk, deltas, jobs, max_delta)
+    return _verify("group-axioms", _axioms_chunk, deltas, jobs)
 
 
 VERIFY_SUITES = {
@@ -681,8 +676,9 @@ def inspect_report(delta: int) -> dict:
             "norm": eps.norm,
             "regulator": float(f"{eps.regulator:.12g}"),
         }
-        report["narrow_parity"] = ODD if genus._narrow_odd(delta, desc.pairs) else EVEN
-        report["wide_parity"] = ODD if genus._wide_odd(delta, desc.pairs) else EVEN
+        narrow_odd, wide_odd = genus._odd_parities(delta, desc.pairs)
+        report["narrow_parity"] = ODD if narrow_odd else EVEN
+        report["wide_parity"] = ODD if wide_odd else EVEN
     else:
         report["unit"] = None
     report["rd_row"] = inv["rd_row"]

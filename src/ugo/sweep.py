@@ -1,11 +1,11 @@
 """Class numbers and 2-torsion of many real discriminants by a range sweep.
 
 `class_numbers(deltas)` returns h+, h and |Cl+[2]| of every requested
-discriminant without building its class group.  It works through windows of
-the requested discriminants and handles all the forms of a window in a few
-numpy passes.  It shares no code with `forms._ClassData`, so each route
-checks the other (te Riele & Williams, Exp. Math. 12 (2003), tabulate real
-class numbers the same way).
+discriminant in [5, MAX_DELTA = 10**7] without building its class group.
+It works through windows of the requested discriminants and handles all the
+forms of a window in a few numpy passes.  It shares no code with
+`forms._ClassData`, so each route checks the other (te Riele & Williams,
+Exp. Math. 12 (2003), tabulate real class numbers the same way).
 
 The reducedness window.  A form (a, b, c) of discriminant delta > 0 is
 reduced (`forms.is_reduced`) when 0 < b < sqrt(delta) and
@@ -55,8 +55,9 @@ Memory.  A window holds the discriminants whose pairs (delta, a <= k) add
 up to at most _WINDOW_PAIRS = 2**14, about 85 discriminants near 1.5*10**5
 and 32 near 10**6, and it takes about 85 bytes per pair: 1.4 MB.  The root
 table takes 2 bytes per unit of the largest delta (an int32 pointer per
-slot, a uint16 root and gcd per root; 0.3 MB at 1.5*10**5, 20 MB at
-10**7); a call builds it for its largest delta before its first window.
+slot, a uint16 root and gcd per root; 0.3 MB at 1.5*10**5, 20 MB at the
+top of the range, 10**7, and over 4 GB at 2**31); a call builds it for its
+largest delta before its first window.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ import math
 
 import numpy as np
 
-MAX_DELTA = (1 << 31) - 1
+MAX_DELTA = 10**7
 _WINDOW_PAIRS = 1 << 14
 
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
 from itertools import groupby
 
 import pytest
@@ -15,6 +16,7 @@ from ugo.cfrac import (
     cf_expand,
     fundamental_unit,
     hj_cf_expand,
+    log_embedding,
     regulator,
     unit_index,
     unit_norm,
@@ -328,6 +330,29 @@ def test_regulator_large_coefficients():
     shift = max(0, t.bit_length() - 53)
     direct = math.log(t >> shift) + shift * math.log(2)
     assert eps.regulator == pytest.approx(direct, rel=1e-12)
+
+
+def _decimal_log_embedding(t, u, delta):
+    # Oracle: log((t + u*sqrt(delta))/2) at 40 significant digits.
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return ((Decimal(t) + Decimal(u * u * delta).sqrt()) / 2).ln()
+
+
+def test_log_embedding_against_decimal():
+    # Float path: units with t < 2**47; integer path: the rest, up to the
+    # 28,923-bit t of 50004529 and the 102,105-bit t of 10**9 + 9.  The
+    # plus-family units (n, 1) of n = 2**47 - 1 and 2**47 sit on either side
+    # of the switch.
+    units = [fundamental_unit(d) for d in (5, 13, 6484, 4000013, 50004529, 10**9 + 9)]
+    units += [fundamental_unit(10**12 + 1)]
+    cases = [(e.t, e.u, e.delta) for e in units]
+    cases += [(n, 1, n * n - 4) for n in (3, 2**47 - 1, 2**47)]
+    assert {t.bit_length() < 48 for t, _, _ in cases} == {True, False}
+    for t, u, delta in cases:
+        want = _decimal_log_embedding(t, u, delta)
+        got = log_embedding(t, u, delta)
+        assert abs((Decimal(got) - want) / want) <= Decimal("1e-14"), delta
 
 
 def test_unit_index_examples():

@@ -60,6 +60,16 @@ def test_factorization_invariants_small():
         assert all(is_prime(p) for p in ps)
 
 
+def test_smallest_sieve_covers_the_trial_primes(monkeypatch):
+    # The first factor() reads the trial primes below 2**16 off the sieve;
+    # the smallest table already covers them, so it is built once.
+    monkeypatch.setattr(intarith, "_spf_array", None)
+    intarith.spf_table(10)
+    table = intarith._spf_array
+    intarith.primes_up_to(intarith._TRIAL_BOUND)
+    assert intarith._spf_array is table
+
+
 def test_factor_reconstructs_exhaustive_10e6():
     # Reconstruction against the smallest-prime-factor sieve, all m <= 10**6.
     spf = intarith.spf_table(10**6)

@@ -77,6 +77,26 @@ def test_hua_trend():
     assert summary["count"] == 3
 
 
+# Unsorted, with the imaginary plus members n = 0 and 1.
+MIXED_SAMPLES = [("minus", 11), ("plus", 7), ("plus", 1), ("minus", 1), ("plus", 0), ("plus", 3)]
+
+
+def test_hua_trend_sorts_and_skips_imaginary_samples():
+    rows, summary = hua_trend(MIXED_SAMPLES)
+    assert [(r.family, r.n, r.delta) for r in rows] == [
+        ("plus", 3, 5), ("plus", 7, 45), ("minus", 1, 5), ("minus", 11, 125)
+    ]
+    assert summary["count"] == 4
+
+
+def test_bounded_family_sorts_and_skips_imaginary_samples():
+    rows, summary = bounded_family_statistic(5, MIXED_SAMPLES)
+    assert [(r["family"], r["n"], r["delta"], r["f"]) for r in rows] == [
+        ("plus", 3, 5, 1), ("plus", 7, 45, 3), ("minus", 1, 5, 1), ("minus", 11, 125, 5)
+    ]
+    assert summary["count"] == 4
+
+
 def test_bounded_family_lucas_conductors():
     # Over delta0 = 5, the minus-family members with delta = 5 f**2 have
     # n in the Lucas sequence 1, 4, 11, 29, ... (brute-forced oracle).

@@ -459,8 +459,8 @@ def test_cli_usage_error_exit_code(tmp_path):
         ("scan", "--n-max", "5", "--checkpoint", str(old_format), "--out", out),
         ("verify", "conductor", "--max-delta", "200", "--jobs", "-3"),
         ("verify", "conductor", "--max-delta", "200", "--jobs", "0"),
-        ("verify", "conductor", "--max-delta", str(search.MAX_SWEEP_DELTA + 1)),
-        ("verify", "genus", "--max-delta", str(search.MAX_SWEEP_DELTA + 1)),
+        ("verify", "conductor", "--max-delta", str(sweep.MAX_DELTA + 1)),
+        ("verify", "genus", "--max-delta", str(sweep.MAX_DELTA + 1)),
         ("verify", "parity", "--max-delta", "100000000000"),
         ("verify", "cf", "--max-n", "0"),
         ("verify", "cf", "--max-n", "-5"),
@@ -676,6 +676,14 @@ def test_chunks_of_deltas_meet_both_residues():
     for jobs in (1, 2, 3):
         for chunk in search._chunks(range(5, 10**4), jobs):
             assert {d % 4 for d in chunk} == {0, 1, 2, 3}, jobs
+
+
+def test_verify_forks_no_pool_for_one_chunk_or_none(monkeypatch):
+    # No fundamental delta0 lies below 19 // 4, and only 5 below 20 // 4.
+    opened = []
+    monkeypatch.setattr(search, "Pool", lambda *args, **kwargs: opened.append(args))
+    assert [search.verify_conductor(m, jobs=3).checked for m in (19, 20)] == [0, 1]
+    assert opened == []
 
 
 def test_verify_cf_and_group_axioms_honour_jobs(capsys):

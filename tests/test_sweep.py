@@ -33,7 +33,7 @@ def test_sweep_equals_class_data_near_1e6():
 
 def test_sweep_equals_class_data_at_the_sweep_bound():
     # The int32 arithmetic per form at the largest bound of the swept suites.
-    top = search.MAX_SWEEP_DELTA
+    top = sweep.MAX_DELTA
     deltas = [d for d in range(top - 400, top + 1) if is_discriminant(d)]
     assert _swept(deltas) == _class_data_numbers(deltas)
 
