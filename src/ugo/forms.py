@@ -22,15 +22,17 @@ share it: d <= sqrt(delta)/2 for delta > 0, d <= sqrt(|delta|/3) for delta < 0.
 outside the principal (and tau) cycle proves the class group nontrivial.
 The class data carries the discriminant record (`orders.decompose`, which
 validates delta and factors it once), records each rho-cycle as its one walk
-meets it, so `narrow_classes` lists the classes without a second walk, and
-holds the two cross-checks of the cycle count, against the unit norm and
-against the genus order, and one of each divisor chain: its even factors
-against the 2-rank mu - 1 of Gauss's genus theory.
+meets it, so `iter_narrow_classes` yields the classes without a second walk
+(one sort of one key per cycle orders them, and each cycle is listed only
+when it is asked for), and holds the two cross-checks of the cycle count,
+against the unit norm and against the genus order, and one of each divisor
+chain: its even factors against the 2-rank mu - 1 of Gauss's genus theory.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -619,9 +621,32 @@ class _ClassData:
         least = out.index(min(out))
         return out[least:] + out[:least]
 
+    def ids_by_least(self) -> list[int]:
+        """The cycle ids in the order of their least members.
+
+        One integer key per cycle orders them as the forms do.  For delta < 0
+        a cycle is its form, and a * stride + b orders (a, b) since
+        |b| <= a < stride / 2.  For delta > 0 the least member is the least
+        rho(j) = (c, nb, A[k]) with c = C[j] < 0, and c * stride + nb orders
+        (c, nb) since 0 < nb <= w < stride; c and nb fix the third
+        coefficient.
+        """
+        A, B, C = self.forms_a, self.forms_b, self.forms_c
+        stride = self.stride
+        if self.delta < 0:
+            keys = [A[j] * stride + B[j] for j in self.walk]
+        else:
+            w = self.w
+            walk, starts = self.walk, self.starts
+            keys = [
+                min(C[j] * stride + w - (w + B[j]) % (-2 * C[j]) for j in walk[s:e])
+                for s, e in zip(starts, starts[1:])
+            ]
+        return sorted(range(self.h_plus), key=keys.__getitem__)
+
 
 # One entry: the callers that reuse class data ask for the same delta back to
-# back (inspect_report, then narrow_classes), while sweeps such as
+# back (inspect_report, then iter_narrow_classes), while sweeps such as
 # relations.hua_trend never come back to a delta and would only pin memory.
 @lru_cache(maxsize=1)
 def _class_data(delta: int) -> _ClassData:
@@ -637,14 +662,20 @@ def enumerate_reduced(delta: int) -> list[BQF]:
     return sorted(forms)
 
 
-def narrow_classes(delta: int) -> list[list[BQF]]:
-    """Partition of the reduced forms into rho-cycles (singletons if delta<0).
+def iter_narrow_classes(delta: int) -> Iterator[list[BQF]]:
+    """The rho-cycles of the reduced forms (singletons if delta<0), one at a
+    time, so a caller that writes them out never holds them all.
 
     Each part starts at its canonical (lexicographically least) member and
-    follows rho order; parts are sorted by canonical representative.
+    follows rho order; parts come in the order of their canonical members.
     """
     cd = _class_data(delta)
-    return sorted(map(cd.cycle_of, range(cd.h_plus)))
+    return map(cd.cycle_of, cd.ids_by_least())
+
+
+def narrow_classes(delta: int) -> list[list[BQF]]:
+    """The list of `iter_narrow_classes`."""
+    return list(iter_narrow_classes(delta))
 
 
 def narrow_class_number(delta: int) -> int:

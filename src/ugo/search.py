@@ -22,7 +22,9 @@ Scan rows, the 2-torsion filters and `inspect` share one builder,
 `_invariants`, fed by the class data, which carries the discriminant record
 (`orders.decompose`, which factors delta once), and the fundamental unit;
 it runs the class data's cross-checks: h+/h against the unit norm, h+
-against 2**(mu-1), and the 2-rank of both chains against mu.
+against 2**(mu-1), and the 2-rank of both chains against mu.  The
+`inspect` report holds only these invariants; the CLI writes the rho-cycles
+after it, one at a time from `forms.iter_narrow_classes`.
 
 The verification suites split their items by one rule, `_chunks`, for the
 same runner and one merge; each chunk spans the whole range, so all cost
@@ -318,7 +320,11 @@ def iter_task_results(config: ScanConfig, done: int = 0):
         (family, n) for family in config.families for n in range(config.n_min, config.n_max + 1)
     )
     left = len(config.families) * (config.n_max - config.n_min + 1) - done
-    chunk = max(1, min(64, left // (config.jobs * 8)))
+    # About 8 chunks per worker, so the workers end close together, of at
+    # most 1024 tasks: a pool message costs about as much as 10-40 tasks
+    # that a witness prunes, so small chunks would cost more to ship than
+    # to run.
+    chunk = max(1, min(1024, left // (config.jobs * 8)))
     nn = config.n_max * config.n_max
     _prepare_tables(4 * nn + 1 if CHOWLA in config.families else nn + 4)
     fn = partial(_task_result, config.filter)
@@ -645,7 +651,10 @@ VERIFY_SUITES = {
 
 
 def inspect_report(delta: int) -> dict:
-    """Every invariant of a single discriminant, as a plain dict."""
+    """Every invariant of a single discriminant, as a plain dict.
+
+    The rho-cycles are not in it: `forms.iter_narrow_classes` yields them one
+    at a time, so `ugo inspect` writes them out without holding the list."""
     if abs(delta) > MAX_INPUT:
         raise OverflowError(f"|delta| = {abs(delta)} exceeds 2**62")
     cd = _class_data(delta)
@@ -682,6 +691,4 @@ def inspect_report(delta: int) -> dict:
     else:
         report["unit"] = None
     report["rd_row"] = inv["rd_row"]
-    # json.dumps writes each BQF tuple as an array.
-    report["classes"] = forms.narrow_classes(delta)
     return report

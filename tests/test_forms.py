@@ -237,6 +237,15 @@ def test_narrow_classes_order():
                 assert compose(f, one, delta) == part[0], (delta, f)
 
 
+def test_narrow_classes_is_the_sorted_list_of_cycles():
+    # The streamed order (one key per cycle) against sorting the listed
+    # cycles themselves.
+    deltas = [d for a in range(5, 2001) for d in (a, -a) if is_discriminant(d)]
+    for delta in [*deltas, 68, 725, 50004529, -100000003, 284866885]:
+        cd = _class_data(delta)
+        assert narrow_classes(delta) == sorted(map(cd.cycle_of, range(cd.h_plus))), delta
+
+
 def test_class_witness_is_exact():
     # A witness is a proof: for each (square, wide) variant it must imply,
     # in order, h > 1, h+ > 1, a wide group and a narrow group that are not

@@ -3,7 +3,9 @@ every module it imports is the standard library, ugo or a declared
 dependency."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,3 +60,24 @@ def test_imports_are_stdlib_ugo_or_declared():
                 continue
             foreign += [f"{path.name}:{node.lineno}: {top}" for top in tops if top not in allowed]
     assert foreign == []
+
+
+def test_import_builds_no_table():
+    # `import ugo.cli` is all a single inspect pays before its query: no
+    # sieve, sweep table or class data may be built at import.
+    code = (
+        "import ugo.cli\n"
+        "from ugo import forms, intarith, sweep\n"
+        "print(intarith._spf_array is None, sweep._table is None,"
+        " forms._class_data.cache_info().currsize,"
+        " intarith._trial_primes.cache_info().currsize)"
+    )
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "True", "0", "0"]
