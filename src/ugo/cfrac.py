@@ -125,9 +125,12 @@ def _expand(x: QuadIrrational, minus: bool) -> CFExpansion:
     while True:
         state = (p, q)
         if state in seen:
+            # Tails of quotients agree exactly when their complete quotients
+            # (p + sqrt(d))/q do, so the first repeat gives the minimal
+            # preperiod and period.
             j = seen[state]
-            pre, per = _canonical_cf(tuple(quotients[:j]), tuple(quotients[j:]))
-            return CFExpansion("minus" if minus else "regular", pre, per)
+            kind = "minus" if minus else "regular"
+            return CFExpansion(kind, tuple(quotients[:j]), tuple(quotients[j:]))
         seen[state] = len(quotients)
         if q > 0:
             a = (p + r) // q
@@ -242,7 +245,7 @@ def _unit_index(delta0: int, f: int) -> int:
     if f == 1:
         return 1
     eps = fundamental_unit(delta0)
-    t1, u1, nu = eps.t % f, eps.u % f, eps.norm
+    t1, nu = eps.t % f, eps.norm
     # u_{j+1} = t1*u_j - norm*u_{j-1}; find the first j with f | u_j.
     prev, cur = 0, eps.u % f
     j = 1
@@ -252,7 +255,7 @@ def _unit_index(delta0: int, f: int) -> int:
         j += 1
         if j > limit:  # pragma: no cover - rank of apparition always <= limit
             raise ArithmeticError(f"unit index search overran for {delta0}, f={f}")
-    tj, uj = _unit_pow(eps.t, eps.u, delta0, j)
+    _, uj = _unit_pow(eps.t, eps.u, delta0, j)
     if uj % f != 0:  # pragma: no cover - certification of the modular search
         raise ArithmeticError(f"unit index certification failed for {delta0}, f={f}")
     return j

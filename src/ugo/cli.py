@@ -105,11 +105,7 @@ def _cmd_scan(args) -> int:
         return _usage_error("scan", exc)
     print(f"wrote {result.rows_written} rows to {config.output}")
     if result.errors:
-        for err in result.errors[:10]:
-            print(
-                f"row error: family={err.family} n={err.n}: {err.message}",
-                file=sys.stderr,
-            )
+        # Each row error has been logged by search; this is the count.
         print(f"{len(result.errors)} row-level errors", file=sys.stderr)
         return EXIT_OVERFLOW
     return EXIT_OK
@@ -240,6 +236,10 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _stat_text(v) -> str:
+    return f"{v:.6f}" if isinstance(v, float) else str(v)
+
+
 def _cmd_stats(args) -> int:
     if args.n_min > args.n_max:
         return _usage_error("stats", f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
@@ -252,24 +252,14 @@ def _cmd_stats(args) -> int:
     ]
     if args.stat == "hua":
         rows, summary = relations.hua_trend(samples)
+        rows = map(vars, rows)
         print("family,n,delta,h,log_h_over_log_n")
-        for r in rows:
-            print(f"{r.family},{r.n},{r.delta},{r.h},{r.log_h_over_log_n:.6f}")
-        print(
-            f"# count={summary['count']} mean={summary['mean']:.6f} "
-            f"min={summary['min']:.6f} max={summary['max']:.6f}"
-        )
     else:
         rows, summary = relations.bounded_family_statistic(args.delta0_max, samples)
         print("family,n,delta,delta0,f,h,deviation")
-        for r in rows:
-            print(
-                f"{r['family']},{r['n']},{r['delta']},{r['delta0']},{r['f']},"
-                f"{r['h']},{r['deviation']:.6f}"
-            )
-        mean = summary["mean"]
-        mx = summary["max"]
-        print(f"# count={summary['count']} mean={mean:.6f} max={mx:.6f}")
+    for r in rows:
+        print(",".join(map(_stat_text, r.values())))
+    print("# " + " ".join(f"{k}={_stat_text(v)}" for k, v in summary.items()))
     return EXIT_OK
 
 

@@ -8,15 +8,14 @@ from the kernel sizes of iterated p-th-power maps, O(h log h) compositions
 in all.  Most of them are squares, which take the duplication formula
 (`_square_raw`: one gcd and one modular inverse).  The quotient by tau needs
 none: [f][tau] is the class of the negation (-a, b, -c), which one rho step
-and one index lookup place on its cycle.  For the rows of both families at
-n = 4900..4964, the narrow and wide structure make 10,094 compositions
-beyond the h+ squares, against 38,471 when the tau fold composes.
+and one index lookup place on its cycle.
 
 The enumeration loops over the smaller outer coefficient d and solves
 b**2 = delta (mod 4d), building the square roots by CRT from roots modulo
-prime powers (Hensel lifting; Cohen, GTM 138, 1.5), so its cost follows the
-number of forms rather than the divisors of (delta - b**2)/4.  Both signs
-share it: d <= sqrt(delta)/2 for delta > 0, d <= sqrt(|delta|/3) for delta < 0.
+prime powers (Cohen, GTM 138, 1.5; a root mod p**e is found by trying the
+p lifts of each root mod p**(e-1)), so its cost follows the number of forms
+rather than the divisors of (delta - b**2)/4.  Both signs share it:
+d <= sqrt(delta)/2 for delta > 0, d <= sqrt(|delta|/3) for delta < 0.
 
 `class_witness` needs no enumeration: one split prime form that reduces
 outside the principal (and tau) cycle proves the class group nontrivial.
@@ -301,10 +300,23 @@ class _ClassData:
         self.desc = decompose(delta)
         self._compose_memo: dict[tuple[int, int], int] = {}
         self._square_ids: list[int] | None = None
+        self.w = math.isqrt(delta) if delta > 0 else 0
+        A, B, C = self._positive_forms()
+        self.forms_a, self.forms_b, self.forms_c = A, B, C
+        nf = len(A)
+        # Keys of distinct forms differ: 0 < b <= w for delta > 0, and
+        # -amax < b <= amax for delta < 0.
+        stride = self.stride = self.w + 3 if delta > 0 else 2 * math.isqrt(-delta // 3) + 3
+        self.index = {A[i] * stride + B[i]: i for i in range(nf)}
         if delta > 0:
             self._build_real()
         else:
-            self._build_imaginary()
+            # Each reduced form is its own class; the principal form
+            # (1, delta % 2, ...) comes first, from d = 1.
+            self.orbit = self.walk = list(range(nf))
+            self.starts = list(range(nf + 1))
+            self.h_plus = self.h = nf
+            self.principal = self.tau = 0
 
     # -- enumeration -----------------------------------------------------
 
@@ -360,16 +372,11 @@ class _ClassData:
                         continue
                     roots = (r, p - r) if r else (0,)
                 else:
+                    # Try the p lifts of each root mod p**(e-1); for p not
+                    # dividing delta exactly one survives.
                     low = pe // p
-                    if delta % p:
-                        # Hensel: each root mod p**(e-1) has one lift.
-                        roots = tuple(
-                            (r - (r * r - delta) * pow(2 * r, -1, pe)) % pe for r in odd[low]
-                        )
-                    else:
-                        # p | delta and p*p <= dmax: try all p lifts.
-                        lifts = (x for r in odd[low] for x in range(r, pe, low))
-                        roots = tuple(x for x in lifts if (x * x - delta) % pe == 0)
+                    lifts = (x for r in odd[low] for x in range(r, pe, low))
+                    roots = tuple(x for x in lifts if (x * x - delta) % pe == 0)
                     if not roots:
                         continue
                 odd[m] = roots
@@ -390,14 +397,8 @@ class _ClassData:
                             # e >= 0 for delta > 0; for delta < 0, -e = c.
                             if e > -d or e == -d and b < 0:
                                 continue
-                        if support:
-                            ok = True
-                            for q in support:
-                                if b % q == 0 and d % q == 0 and e % q == 0:
-                                    ok = False
-                                    break
-                            if not ok:
-                                continue
+                        if support and math.gcd(d, b, e) != 1:
+                            continue
                         add_a(d)
                         add_b(b)
                         add_c(-e)
@@ -410,14 +411,9 @@ class _ClassData:
     # -- cycle partition -------------------------------------------------
 
     def _build_real(self):
-        delta = self.delta
-        w = self.w = math.isqrt(delta)
-        A, B, C = self._positive_forms()
-        nf = len(A)
-        stride = self.stride = w + 3
-        index = self.index = {}
-        for i in range(nf):
-            index[A[i] * stride + B[i]] = i
+        delta, w, stride, index = self.delta, self.w, self.stride, self.index
+        B, C = self.forms_b, self.forms_c
+        nf = len(B)
         orbit = self.orbit = [-1] * nf
         walk = self.walk = []
         starts = self.starts = []
@@ -439,7 +435,6 @@ class _ClassData:
                     break
         self.h_plus = len(starts)
         starts.append(nf)
-        self.forms_a, self.forms_b, self.forms_c = A, B, C
         b1 = w if ((w ^ delta) & 1) == 0 else w - 1
         self.principal = orbit[index[stride + b1]]
         self.tau = self.times_tau(self.principal)
@@ -448,21 +443,6 @@ class _ClassData:
                 f"odd narrow class number with nontrivial negative class at {delta}"
             )
         self.h = self.h_plus if self.tau == self.principal else self.h_plus // 2
-
-    def _build_imaginary(self):
-        # Each reduced form is its own class; the principal form
-        # (1, delta % 2, ...) comes first, from d = 1.
-        self.w = 0
-        A, B, C = self._positive_forms()
-        nf = len(A)
-        # -amax < b <= amax, so keys of distinct forms differ.
-        stride = self.stride = 2 * math.isqrt(-self.delta // 3) + 3
-        self.index = {A[i] * stride + B[i]: i for i in range(nf)}
-        self.forms_a, self.forms_b, self.forms_c = A, B, C
-        self.orbit = self.walk = list(range(nf))
-        self.starts = list(range(nf + 1))
-        self.h_plus = self.h = nf
-        self.principal = self.tau = 0
 
     # -- cross-checks ----------------------------------------------------
 
@@ -543,15 +523,6 @@ class _ClassData:
         ok = {self.principal, self.tau}
         return all(s in ok for s in self.square_ids())
 
-    def _power(self, x: int, e: int, project) -> int:
-        # Left-to-right square-and-multiply on (projected) class ids.
-        y = x
-        for bit in bin(e)[3:]:
-            y = project(self.compose_ids(y, y))
-            if bit == "1":
-                y = project(self.compose_ids(y, x))
-        return y
-
     def _invariant_factors(self, project) -> tuple[int, ...]:
         # p-primary structure (Teske 1998; Cohen, GTM 138, 2.4): for p | |G|,
         # |G[p^k]| = p^(r_1 + ... + r_k) where r_k counts the cyclic p-factors
@@ -565,11 +536,16 @@ class _ClassData:
         for p, v in factor(len(elements)).pairs:
             ranks = [1]
             if v > 1:
-                if p == 2:
-                    sq = self.square_ids()
-                    power = {x: project(sq[x]) for x in elements}
-                else:
-                    power = {x: self._power(x, p, project) for x in elements}
+                # x**p by square-and-multiply; squares are read off square_ids().
+                sq = self.square_ids()
+                power = {}
+                for x in elements:
+                    y = x
+                    for bit in bin(p)[3:]:
+                        y = project(sq[y])
+                        if bit == "1":
+                            y = project(self.compose_ids(y, x))
+                    power[x] = y
                 ranks, seen, images = [], 1, elements
                 while seen < p**v:
                     images = [power[x] for x in images]

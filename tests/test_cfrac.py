@@ -13,6 +13,7 @@ from ugo.cfrac import (
     CFExpansion,
     QuadIrrational,
     QuadUnit,
+    _canonical_cf,
     cf_expand,
     fundamental_unit,
     hj_cf_expand,
@@ -130,6 +131,14 @@ def test_cf_roundtrip_random(roundtrip_samples):
                 assert all(a >= 1 for a in cf.preperiod[1:] + cf.period)
             else:
                 assert all(a >= 2 for a in cf.period)
+
+
+def test_cf_expansions_are_canonical(roundtrip_samples):
+    # The expansion stops at the first repeated complete quotient, which
+    # already gives the minimal period and the earliest period start.
+    for _, expansions in roundtrip_samples:
+        for cf in expansions:
+            assert _canonical_cf(cf.preperiod, cf.period) == (cf.preperiod, cf.period), cf
 
 
 def moebius(m, x):

@@ -476,12 +476,25 @@ def test_cli_inspect_streams_in_bounded_memory(monkeypatch):
     assert peak < 2 * build_peak, (peak, build_peak)
 
 
-def test_cli_usage_error_exit_code(tmp_path):
-    assert run_cli("scan", "--family", "pluto", "--n-max", "5", "--out", "/tmp/x").returncode == 1
-    assert run_cli("nonsense").returncode == 1
+def _main_in_process(capsys, *args):
+    # cli.main in this interpreter: (exit code, stderr).  argparse exits by
+    # SystemExit; any other exception escapes and fails the test.
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def test_cli_usage_error_exit_code(tmp_path, capsys):
+    # One case runs the real entry point; the rest call cli.main directly.
+    r = run_cli("nonsense")
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr and "error" in r.stderr
     out = str(tmp_path / "scan.csv")
     ckpt = str(tmp_path / "ckpt.txt")
-    assert run_cli("scan", "--n-max", "5", "--out", out, "--checkpoint", ckpt).returncode == 0
+    code, _ = _main_in_process(capsys, "scan", "--n-max", "5", "--out", out, "--checkpoint", ckpt)
+    assert code == 0
     missing = str(tmp_path / "missing" / "scan.csv")
     missing_ckpt = tmp_path / "missing-ckpt.txt"
     # Journals whose config line matches this scan but whose bytes line is
@@ -499,6 +512,7 @@ def test_cli_usage_error_exit_code(tmp_path):
         f"# ugo scan checkpoint\n{config_line}\nbytes={len(scanned)}\nrows=3\ndone_plus=5\n"
     )
     for args in (
+        ("scan", "--family", "pluto", "--n-max", "5", "--out", out),
         ("scan", "--n-max", "5", "--jobs", "0", "--out", out),
         ("scan", "--n-min", "6", "--n-max", "5", "--out", out),
         ("scan", "--n-max", "6", "--checkpoint", ckpt, "--out", out),  # written for --n-max 5
@@ -517,11 +531,11 @@ def test_cli_usage_error_exit_code(tmp_path):
         ("stats", "hua", "--n-min", "6", "--n-max", "5"),
         ("stats", "bounded", "--delta0-max", "5", "--n-min", "6", "--n-max", "5"),
     ):
-        r = run_cli(*args)
-        assert r.returncode == 1, args
-        assert "Traceback" not in r.stderr and "error" in r.stderr, args
+        code, err = _main_in_process(capsys, *args)
+        assert code == 1, args
+        assert "Traceback" not in err and "error" in err, args
         if str(old_format) in args:
-            assert "remove it" in r.stderr
+            assert "remove it" in err
     assert not missing_ckpt.exists()
     assert Path(out).read_bytes() == scanned
 
@@ -817,11 +831,13 @@ def test_cli_scan_overflow_exit_code(tmp_path):
     out = tmp_path / "overflow.csv"
     n = 1 << 33  # delta = n^2 + 4 > 2^62
     r = run_cli(
-        "scan", "--family", "minus", "--n-min", str(n), "--n-max", str(n),
+        "scan", "--family", "minus", "--n-min", str(n), "--n-max", str(n + 1),
         "--out", str(out),
     )
     assert r.returncode == 3
-    assert "row error" in r.stderr
+    # Each row error is reported once, by the log, and then counted.
+    assert sum("row error" in line for line in r.stderr.splitlines()) == 2, r.stderr
+    assert "2 row-level errors" in r.stderr
 
 
 def test_cli_scan_and_verify(tmp_path):
@@ -859,6 +875,19 @@ def test_cli_stats(capsys):
                 assert cli.main(argv) == 0, argv
                 outs.append(capsys.readouterr().out)
             assert outs[0] == outs[1] == outs[2], (command, family)
+    # Floats print with six decimals, everything else as str.
+    for argv, want in (
+        (("hua", "--family", "minus", "--n-min", "1", "--n-max", "3"),
+         "family,n,delta,h,log_h_over_log_n\nminus,1,5,1,nan\nminus,2,8,1,0.000000\n"
+         "minus,3,13,1,0.000000\n# count=3 mean=0.000000 min=0.000000 max=0.000000\n"),
+        (("hua", "--family", "plus", "--n-min", "1", "--n-max", "2"),
+         "family,n,delta,h,log_h_over_log_n\n# count=0 mean=nan min=nan max=nan\n"),
+        (("bounded", "--delta0-max", "5", "--family", "plus", "--n-min", "1", "--n-max", "3"),
+         "family,n,delta,delta0,f,h,deviation\nplus,3,5,5,1,1,0.961345\n"
+         "# count=1 mean=0.961345 max=0.961345\n"),
+    ):
+        assert cli.main(["stats", *argv]) == 0, argv
+        assert capsys.readouterr().out == want, argv
     r = run_cli("stats", "hua", "--n-min", "3", "--n-max", "30")
     assert r.returncode == 0
     assert "# count=" in r.stdout
