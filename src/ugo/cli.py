@@ -60,7 +60,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run a consistency suite")
     p_verify.add_argument("suite", choices=sorted(search.VERIFY_SUITES))
     p_verify.add_argument("--max-delta", type=int, default=None)
-    p_verify.add_argument("--max-n", type=int, default=500)
+    p_verify.add_argument("--max-n", type=int, default=None)
     p_verify.add_argument("--jobs", type=int, default=1)
 
     p_stats = sub.add_parser("stats", help="class-number growth reports")
@@ -200,31 +200,14 @@ def _cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-_VERIFY_DEFAULT_BOUNDS = {
-    "parity": 10**5,
-    "genus": 10**5,
-    "conductor": 10**6,
-    "group-axioms": 10**4,
-}
-
-
 def _cmd_verify(args) -> int:
-    suite = args.suite
-    bound = args.max_delta
-    if bound is None:
-        bound = _VERIFY_DEFAULT_BOUNDS.get(suite)
-    elif bound < 5:
-        return _usage_error(
-            "verify", f"--max-delta {bound} is below 5, the smallest real discriminant"
-        )
-    if args.max_n < 1:
-        return _usage_error("verify", f"--max-n {args.max_n} is below 1")
     if args.jobs < 1:
         return _usage_error("verify", f"--jobs {args.jobs} is below 1")
-    if suite == "cf":
-        bound = args.max_n
+    # Each suite reads one bound, holds its default and checks its range.
+    run = search.VERIFY_SUITES[args.suite]
+    bound = args.max_n if args.suite == "cf" else args.max_delta
     try:
-        report = search.VERIFY_SUITES[suite](bound, jobs=args.jobs)
+        report = run(jobs=args.jobs) if bound is None else run(bound, jobs=args.jobs)
     except search.BoundError as exc:
         return _usage_error("verify", exc)
     status = "pass" if report.passed else "FAIL"

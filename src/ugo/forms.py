@@ -23,9 +23,11 @@ The class data carries the discriminant record (`orders.decompose`, which
 validates delta and factors it once), records each rho-cycle as its one walk
 meets it, so `iter_narrow_classes` yields the classes without a second walk
 (one sort of one key per cycle orders them, and each cycle is listed only
-when it is asked for), and holds the two cross-checks of the cycle count,
-against the unit norm and against the genus order, and one of each divisor
-chain: its even factors against the 2-rank mu - 1 of Gauss's genus theory.
+when it is asked for), and holds its cross-checks: the cycle count against
+the unit norm (`check_unit_norm`), and in `checked_chains`, which every
+caller reads both divisor chains from, the cycle count against the genus
+order and each chain's even factors against the 2-rank of Gauss's genus
+theory.
 """
 
 from __future__ import annotations
@@ -452,26 +454,26 @@ class _ClassData:
                 f"narrow/wide ratio disagrees with unit norm at delta={self.delta}"
             )
 
-    def check_genus_order(self, order: int) -> bool:
-        # 2-torsion by squares, which holds exactly when h+ = 2**(mu-1).
-        by_squares = self.is_two_torsion_narrow()
-        if by_squares != (self.h_plus == order):
+    def checked_chains(self, mu: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The (narrow, wide) divisor chains, checked against Gauss's genus
+        theory: the narrow group is 2-torsion (every square principal)
+        exactly when h+ = 2**(mu-1), and |Cl+/(Cl+)**2| = 2**(mu-1), so the
+        narrow chain has mu - 1 even factors.  The wide group Cl+/<tau> has
+        as many when tau is a square (the principal class is its own square)
+        and one fewer otherwise."""
+        if self.is_two_torsion_narrow() != (self.h_plus == 1 << (mu - 1)):
             raise ArithmeticError(
                 f"genus order and 2-torsion test disagree at delta={self.delta}"
             )
-        return by_squares
-
-    def check_two_rank(self, mu: int, divisors: tuple[int, ...], flavor: str) -> None:
-        # Gauss: |Cl+/(Cl+)**2| = 2**(mu-1), so the narrow chain has mu - 1
-        # even factors.  The wide group Cl+/<tau> has as many when tau is a
-        # square and one fewer otherwise.
-        rank = mu - 1
-        if flavor == WIDE and self.tau != self.principal and self.tau not in self.square_ids():
-            rank -= 1
-        if sum(1 for d in divisors if d % 2 == 0) != rank:
-            raise ArithmeticError(
-                f"{flavor} 2-rank disagrees with the genus count at delta={self.delta}"
-            )
+        narrow = self.narrow_divisors()
+        wide = narrow if self.h == self.h_plus else self.wide_divisors()
+        wide_rank = mu - 1 - (self.tau not in self.square_ids())
+        for flavor, chain, rank in ((NARROW, narrow, mu - 1), (WIDE, wide, wide_rank)):
+            if sum(1 for d in chain if d % 2 == 0) != rank:
+                raise ArithmeticError(
+                    f"{flavor} 2-rank disagrees with the genus count at delta={self.delta}"
+                )
+        return narrow, wide
 
     # -- class arithmetic ------------------------------------------------
 
@@ -575,8 +577,7 @@ class _ClassData:
         return self._place(-a, b, -c)
 
     def wide_divisors(self) -> tuple[int, ...]:
-        if self.h == self.h_plus:
-            return self.narrow_divisors()
+        # For h < h+; checked_chains reads the narrow chain when h = h+.
         fold = [min(i, self.times_tau(i)) for i in range(self.h_plus)]
         return self._invariant_factors(fold.__getitem__)
 
@@ -672,9 +673,8 @@ def compose(f: BQF, g: BQF, delta: int) -> BQF:
 
 def narrow_class_group(delta: int) -> ClassGroupStructure:
     cd = _class_data(delta)
-    divisors = cd.narrow_divisors()
-    cd.check_two_rank(_mu(delta, cd.desc.pairs), divisors, NARROW)
-    return ClassGroupStructure(cd.h_plus, divisors, NARROW)
+    narrow, _ = cd.checked_chains(_mu(delta, cd.desc.pairs))
+    return ClassGroupStructure(cd.h_plus, narrow, NARROW)
 
 
 def wide_class_group(delta: int) -> ClassGroupStructure:
@@ -688,6 +688,5 @@ def wide_class_group(delta: int) -> ClassGroupStructure:
     cd = _class_data(delta)
     if delta > 0:
         cd.check_unit_norm(cfrac.fundamental_unit(delta).norm)
-    divisors = cd.wide_divisors()
-    cd.check_two_rank(_mu(delta, cd.desc.pairs), divisors, WIDE)
-    return ClassGroupStructure(cd.h, divisors, WIDE)
+    _, wide = cd.checked_chains(_mu(delta, cd.desc.pairs))
+    return ClassGroupStructure(cd.h, wide, WIDE)

@@ -40,12 +40,14 @@ def is_two_torsion(group: ClassGroupStructure) -> bool:
 def one_class_per_genus(delta: int) -> bool:
     """True iff the narrow class group is 2-torsion.
 
-    Computed from the squares of all classes; the equivalent count
-    h+ == 2**(mu-1) is checked at the same time and a mismatch raises,
-    since the two routes must agree.
+    Computed from the squares of all classes, after the class data's
+    cross-checks (`_ClassData.checked_chains`): the equivalent count
+    h+ == 2**(mu-1) and the 2-rank of both divisor chains; a mismatch
+    raises, since the routes must agree.
     """
     cd = _class_data(delta)
-    return cd.check_genus_order(1 << (_mu(delta, cd.desc.pairs) - 1))
+    cd.checked_chains(_mu(delta, cd.desc.pairs))
+    return cd.is_two_torsion_narrow()
 
 
 def _odd_parities(delta: int, pairs) -> tuple[bool, bool]:

@@ -50,9 +50,6 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)
 
-    def __iter__(self):
-        return iter(self.pairs)
-
 
 _spf_array: np.ndarray | None = None
 
@@ -62,10 +59,14 @@ def spf_table(limit: int) -> np.ndarray:
 
     Grown on demand; indexing with an integer n in range gives its smallest
     prime factor, which lets callers factor many small integers quickly.
+    The first build has the size asked for (at least 2**16 + 1 entries, so
+    it covers the trial primes); a regrowth at least doubles it, so callers
+    whose limit climbs step by step rebuild it O(log limit) times.
     """
     global _spf_array
-    if _spf_array is None or len(_spf_array) <= limit:
-        size = max(limit + 1, _TRIAL_BOUND + 1)
+    old = 0 if _spf_array is None else len(_spf_array)
+    if old <= limit:
+        size = max(limit + 1, _TRIAL_BOUND + 1, 2 * old)
         spf = np.zeros(size, dtype=np.int32)
         for p in range(2, math.isqrt(size - 1) + 1):
             if spf[p] == 0:
@@ -261,22 +262,18 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
         return a
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    if p % 8 == 5:
-        x = pow(a, (p + 3) // 8, p)
-        if x * x % p != a:
-            x = x * pow(2, (p - 1) // 4, p) % p
-        return x
-    # Tonelli-Shanks for p = 1 mod 8.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
+    # Tonelli-Shanks with p - 1 = q * 2**s, q odd: r = a**((q+1)/2) is a
+    # root once t = a**q is 1, as always for p = 3 (mod 4); otherwise a
+    # non-residue z corrects it.
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+    if t == 1:
+        return r
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    m, c = s, pow(z, q, p)
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:

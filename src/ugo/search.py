@@ -21,17 +21,19 @@ class data.
 Scan rows, the 2-torsion filters and `inspect` share one builder,
 `_invariants`, fed by the class data, which carries the discriminant record
 (`orders.decompose`, which factors delta once), and the fundamental unit;
-it runs the class data's cross-checks: h+/h against the unit norm, h+
-against 2**(mu-1), and the 2-rank of both chains against mu.  The
-`inspect` report holds only these invariants; the CLI writes the rho-cycles
-after it, one at a time from `forms.iter_narrow_classes`.
+it checks h+/h against the unit norm and takes both divisor chains from
+`_ClassData.checked_chains`, which checks h+ against 2**(mu-1) and the
+2-rank of both chains against mu.  The `inspect` report holds only these
+invariants; the CLI writes the rho-cycles after it, one at a time from
+`forms.iter_narrow_classes`.
 
 The verification suites split their items by one rule, `_chunks`, for the
 same runner and one merge; each chunk spans the whole range, so all cost
-about the same.  The parity, genus and conductor suites read h+, h and
+about the same.  Each suite holds its default bound and raises BoundError
+before any check when that bound is out of its range: a max_delta below 5
+or a max_n below 1.  The parity, genus and conductor suites read h+, h and
 |Cl+[2]| from the range sweep (`sweep.class_numbers`) and build no class
-group; a bound past `sweep.MAX_DELTA` = 10**7 raises BoundError before any
-check.
+group, so they also refuse a max_delta past `sweep.MAX_DELTA` = 10**7.
 The parity and genus suites factor each delta once, for its parity shapes
 and for mu and omega.  The conductor suite runs one pass over the
 fundamental delta0 <= max_delta/4, found by one sieve over f of the
@@ -65,7 +67,9 @@ import numpy as np
 from . import __version__, cfrac, forms, genus, relations, sweep
 from .forms import _ClassData, _class_data, divisor_chain
 from .genus import EVEN, ODD
-from .intarith import MAX_INPUT, factor, is_discriminant, spf_table
+from .intarith import MAX_INPUT, factor, is_discriminant
+# Unused here; perfbench/selftest.py checks that its tracer wraps this binding.
+from .intarith import spf_table  # noqa: F401
 from .orders import MINUS, PLUS, UnitGeneratedParam, decompose, classify_unit_generated
 
 log = logging.getLogger(__name__)
@@ -85,7 +89,6 @@ _CHECKPOINT_EVERY = 256
 _AXIOM_TRIALS = 21
 _AXIOM_SEED = 1
 _MAX_FAILURES = 20
-_PREBUILT_MAX = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -228,19 +231,14 @@ def family_discriminant(family: str, n: int) -> int | None:
 
 def _invariants(cd: _ClassData, eps: cfrac.QuadUnit | None) -> dict:
     # The invariants a scan row and an inspect report share, keyed by TableRow
-    # field, and both cross-checks of the form cycles; eps is None if delta < 0.
+    # field, and every cross-check of the class data; eps is None if delta < 0.
     desc = cd.desc
     delta = desc.delta
     mu = genus._mu(delta, desc.pairs)
-    genus_order = 1 << (mu - 1)
     if eps:
         cd.check_unit_norm(eps.norm)
-    ocpg = cd.check_genus_order(genus_order)
+    cl_plus, cl = cd.checked_chains(mu)
     rd = desc.rd_class() if eps else None
-    cl_plus = cd.narrow_divisors()
-    cl = cl_plus if cd.h == cd.h_plus else cd.wide_divisors()
-    cd.check_two_rank(mu, cl_plus, forms.NARROW)
-    cd.check_two_rank(mu, cl, forms.WIDE)
     return dict(
         delta=delta,
         f=desc.conductor,
@@ -252,10 +250,10 @@ def _invariants(cd: _ClassData, eps: cfrac.QuadUnit | None) -> dict:
         unit_norm=eps.norm if eps else 1,
         regulator=eps.regulator if eps else 0.0,
         mu=mu,
-        genus_order=genus_order,
+        genus_order=1 << (mu - 1),
         maximal=desc.conductor == 1,
         rd_row=rd.row if rd else None,
-        one_class_per_genus=ocpg,
+        one_class_per_genus=cd.is_two_torsion_narrow(),
         two_torsion_wide=cd.is_two_torsion_wide(),
     )
 
@@ -293,16 +291,6 @@ def _task_result(flt: str, task: tuple[str, int]):
     return family, n, evaluate_task(family, n, flt)
 
 
-def _prepare_tables(max_delta: int) -> None:
-    # Pre-build the smallest-prime-factor table that form enumeration reads
-    # (it covers outer coefficients up to sqrt(delta)/2) once: forked workers
-    # inherit it, and a serial run does not grow it by repeated rebuilds.
-    # The up-front build stops at _PREBUILT_MAX entries (32 MB): a scan whose
-    # top delta lies past 2**62, or past what enumeration can finish, must
-    # not allocate gigabytes before its first row.
-    spf_table(min(max(math.isqrt(max_delta) // 2, 1), _PREBUILT_MAX))
-
-
 def _run(fn, items, jobs: int, chunksize: int = 1):
     """Yield fn(item) for each item in order: serially when jobs <= 1,
     otherwise from `jobs` forked workers that draw items lazily."""
@@ -325,8 +313,6 @@ def iter_task_results(config: ScanConfig, done: int = 0):
     # that a witness prunes, so small chunks would cost more to ship than
     # to run.
     chunk = max(1, min(1024, left // (config.jobs * 8)))
-    nn = config.n_max * config.n_max
-    _prepare_tables(4 * nn + 1 if CHOWLA in config.families else nn + 4)
     fn = partial(_task_result, config.filter)
     return _run(fn, islice(tasks, done, None), config.jobs, chunk)
 
@@ -594,46 +580,51 @@ def _verify(suite: str, worker, items, jobs: int) -> VerifyReport:
     return VerifyReport(suite, sum(r[0] for r in results), [m for _, m in failures])
 
 
-def _check_sweep_bound(max_delta: int) -> None:
-    if max_delta > sweep.MAX_DELTA:
-        raise BoundError(f"max_delta {max_delta} exceeds {sweep.MAX_DELTA}, the sweep limit")
+def _check_delta_bound(max_delta: int, limit: int | None = None) -> None:
+    if max_delta < 5:
+        raise BoundError(f"max_delta {max_delta} is below 5, the smallest real discriminant")
+    if limit is not None and max_delta > limit:
+        raise BoundError(f"max_delta {max_delta} exceeds {limit}, the sweep limit")
 
 
-def verify_parity(max_delta: int, jobs: int = 1) -> VerifyReport:
+def verify_parity(max_delta: int = 10**5, jobs: int = 1) -> VerifyReport:
     """Predicates vs swept parities for all 0 < delta <= max_delta."""
-    _check_sweep_bound(max_delta)
+    _check_delta_bound(max_delta, sweep.MAX_DELTA)
     return _verify("parity", _parity_chunk, range(5, max_delta + 1), jobs)
 
 
-def verify_genus(max_delta: int, jobs: int = 1) -> VerifyReport:
+def verify_genus(max_delta: int = 10**5, jobs: int = 1) -> VerifyReport:
     """2**(mu-1) = |Cl+[2]| from the sweep, and mu - 1 <= omega, for all
     0 < delta <= max_delta."""
-    _check_sweep_bound(max_delta)
+    _check_delta_bound(max_delta, sweep.MAX_DELTA)
     return _verify("genus", _genus_chunk, range(5, max_delta + 1), jobs)
 
 
-def verify_conductor(max_delta: int, jobs: int = 1) -> VerifyReport:
+def verify_conductor(max_delta: int = 10**6, jobs: int = 1) -> VerifyReport:
     """Conductor-formula prediction vs the sweep for all non-maximal orders
     with delta <= max_delta.  Each non-maximal delta is f**2*delta0 for one
     fundamental delta0 <= max_delta/4 and one f >= 2, so one pass over those
     delta0 predicts, sweeps and compares every one of them."""
-    _check_sweep_bound(max_delta)
+    _check_delta_bound(max_delta, sweep.MAX_DELTA)
     # The squares 0, 1 and 4 have conductor 0, so every delta0 is >= 5.
     delta0s = np.flatnonzero(_conductors(max_delta // 4) == 1)
     worker = partial(_conductor_chunk, max_delta)
     return _verify("conductor", worker, delta0s, jobs)
 
 
-def verify_cf(max_n: int, jobs: int = 1) -> VerifyReport:
+def verify_cf(max_n: int = 500, jobs: int = 1) -> VerifyReport:
     """Parametric continued fraction forms for both families up to max_n;
     failures are keyed by n."""
+    if max_n < 1:
+        raise BoundError(f"max_n {max_n} is below 1")
     return _verify("cf", _cf_chunk, range(1, max_n + 1), jobs)
 
 
-def verify_group_axioms(max_delta: int, jobs: int = 1) -> VerifyReport:
+def verify_group_axioms(max_delta: int = 10**4, jobs: int = 1) -> VerifyReport:
     """Identity, inverses, commutativity, associativity on sampled classes
     of every delta <= 2000 and of 60 distinct random integers in
     (2000, max_delta] that are discriminants."""
+    _check_delta_bound(max_delta)
     rng = random.Random(_AXIOM_SEED)
     draws = rng.sample(range(2001, max_delta + 1), min(60, max(max_delta - 2000, 0)))
     small = range(5, min(max_delta, 2000) + 1)

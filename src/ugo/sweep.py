@@ -95,7 +95,7 @@ def _root_table(amax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # (ptr, roots, gcds): for a <= amax and r = 0, 1 (mod 4), the rho in
     # [0, 2a) with rho**2 = r (mod 4a) are roots[ptr[i]:ptr[i + 1]], at the
     # slot i = a*(a - 1) + (r >> 1 | r & 1), and gcds holds gcd(a, rho)
-    # beside each root.  Grown on demand, like spf_table.
+    # beside each root.  Rebuilt when a larger amax is asked for.
     global _table, _table_a
     if _table is None or _table_a < amax:
         a, rho = _ragged(np.zeros(amax, dtype=np.int32), 2 * np.arange(1, amax + 1))

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from ugo.cfrac import _rho_step, fundamental_unit
 from ugo.forms import (
     BQF,
-    NARROW,
-    WIDE,
     ClassGroupStructure,
     _class_data,
     _ClassData,
@@ -395,14 +393,11 @@ def test_structure_matches_element_orders():
     ]
     for delta in deltas:
         cd = _class_data(delta)
-        narrow, wide = cd.narrow_divisors(), cd.wide_divisors()
+        # Both chains are checked against Gauss's 2-rank, mu - 1 (mu - 2 for
+        # a wide group whose tau is no square).
+        narrow, wide = cd.checked_chains(_mu(delta, cd.desc.pairs))
         assert _orders_of_chain(narrow) == _orders_by_composition(cd, False), delta
         assert _orders_of_chain(wide) == _orders_by_composition(cd, True), delta
-        # Both chains against Gauss's 2-rank, mu - 1 (mu - 2 for a wide
-        # group whose tau is no square).
-        mu = _mu(delta, cd.desc.pairs)
-        cd.check_two_rank(mu, narrow, NARROW)
-        cd.check_two_rank(mu, wide, WIDE)
 
 
 @pytest.mark.parametrize("delta, wide", [(-972, False), (68640, False), (22356, True)])

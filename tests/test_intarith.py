@@ -70,6 +70,17 @@ def test_smallest_sieve_covers_the_trial_primes(monkeypatch):
     assert intarith._spf_array is table
 
 
+def test_sieve_regrowth_at_least_doubles(monkeypatch):
+    # A first build has the size asked for; a regrowth at least doubles, so
+    # a limit that climbs by one each time rebuilds the table rarely.
+    monkeypatch.setattr(intarith, "_spf_array", None)
+    assert len(intarith.spf_table(10**5)) == 10**5 + 1
+    spf = intarith.spf_table(10**5 + 1)
+    assert len(spf) == 2 * (10**5 + 1)
+    assert all(spf[m] == min(trial_factor(m)) for m in range(len(spf) - 2000, len(spf)))
+    assert len(intarith.spf_table(10**6)) == 10**6 + 1
+
+
 def test_factor_reconstructs_exhaustive_10e6():
     # Reconstruction against the smallest-prime-factor sieve, all m <= 10**6.
     spf = intarith.spf_table(10**6)

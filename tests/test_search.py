@@ -171,6 +171,16 @@ def test_overflow_row_error():
     assert "2**62" in r.message
 
 
+def test_overflow_scan_builds_no_sieve(tmp_path, monkeypatch):
+    # Both rows are range errors, found before any form is enumerated, so
+    # the scan builds no smallest-prime-factor table.
+    monkeypatch.setattr(intarith, "_spf_array", None)
+    n = 1 << 33
+    cfg = ScanConfig(families=("minus",), n_min=n, n_max=n + 1, output=str(tmp_path / "o.csv"))
+    assert len(scan_to_file(cfg).errors) == 2
+    assert intarith._spf_array is None
+
+
 def test_determinism_across_jobs(tmp_path):
     outs = []
     for jobs in (1, 2, 3):
@@ -582,6 +592,15 @@ def test_cli_verify_max_delta_is_used(capsys):
             assert "below 5" in capsys.readouterr().err
 
 
+def test_cli_verify_ignores_the_flag_its_suite_does_not_read(capsys):
+    # cf reads --max-n alone and the other suites --max-delta alone, so the
+    # other flag is neither used nor checked.
+    assert cli.main(["verify", "cf", "--max-delta", "3", "--max-n", "5"]) == 0
+    assert capsys.readouterr().out == "cf: pass (8 checks)\n"
+    assert cli.main(["verify", "parity", "--max-n", "0", "--max-delta", "100"]) == 0
+    assert capsys.readouterr().out == "parity: pass (40 checks)\n"
+
+
 # Every non-maximal delta <= 5000, by its definition.
 NON_MAXIMAL_TO_5000 = [
     d for d in range(5, 5001) if is_discriminant(d) and decompose(d).conductor > 1
@@ -712,7 +731,11 @@ def test_merged_even_factors_break_the_two_rank(monkeypatch, delta):
         return chain[:i] + chain[i + 1 : -1] + (chain[i] * chain[-1],)
 
     monkeypatch.setattr(_ClassData, "_invariant_factors", merged)
-    for build in (forms.narrow_class_group, forms.wide_class_group, inspect_report):
+    builds = (
+        forms.narrow_class_group, forms.wide_class_group, genus.one_class_per_genus,
+        inspect_report,
+    )
+    for build in builds:
         with pytest.raises(ArithmeticError, match="2-rank"):
             build(delta)
 
