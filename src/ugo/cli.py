@@ -32,9 +32,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _families(name: str) -> tuple[str, ...]:
-    if name == "both":
-        return (PLUS, MINUS)
-    return (name,)
+    return (PLUS, MINUS) if name == "both" else (name,)
 
 
 def build_parser() -> _Parser:
@@ -228,11 +226,7 @@ def _cmd_stats(args) -> int:
         return _usage_error("stats", f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     if args.stat == "bounded" and args.delta0_max < 5:
         return _usage_error("stats", f"--delta0-max {args.delta0_max} is below 5")
-    fams = _families(args.family)
-    samples = [
-        (f, n) for f in fams for n in range(args.n_min, args.n_max + 1)
-        if (search.family_discriminant(f, n) or 0) > 0
-    ]
+    samples = [(f, n) for f in _families(args.family) for n in range(args.n_min, args.n_max + 1)]
     if args.stat == "hua":
         rows, summary = relations.hua_trend(samples)
         rows = map(vars, rows)

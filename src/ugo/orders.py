@@ -2,9 +2,11 @@
 
 Covers the discriminant record (`decompose` validates delta once and keeps
 the factor pairs of |delta| with the conductor decomposition delta =
-f**2 * delta0, computed in `intarith`), the unit-generated families
-n**2 -+ 4, orders generated by powers of the fundamental unit, and the
-narrow Richaud-Degert classification of fundamental radicands.
+f**2 * delta0, computed in `intarith`), the scanned families, orders
+generated by powers of the fundamental unit, and the narrow Richaud-Degert
+classification of fundamental radicands.  `family_discriminant` alone
+decides which n the families n**2 -+ 4 and 4n**2 + 1 (Chowla) admit and
+which discriminant each gives; scans, stats and the cf suite read it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import cfrac
-from .intarith import conductor_split, factor, is_discriminant
+from .intarith import MAX_INPUT, conductor_split, factor, is_discriminant
 from .cfrac import QuadUnit, log_embedding
 
 REAL = "real"
@@ -22,6 +24,9 @@ IMAGINARY = "imaginary"
 
 PLUS = "plus"
 MINUS = "minus"
+CHOWLA = "chowla"
+# The scanned families, in scan order.
+FAMILY_ORDER = {PLUS: 0, MINUS: 1, CHOWLA: 2}
 
 # Narrow Richaud-Degert rows, in table order.  The third row is the only one
 # whose unit-generated order has conductor 2.
@@ -90,14 +95,29 @@ def _fundamental(delta0: int) -> OrderDescriptor:
     return desc
 
 
+def family_discriminant(family: str, n: int) -> int | None:
+    """The discriminant of (family, n), or None when n gives none.
+
+    plus: n**2 - 4 for n >= 0 and n != 2 (real from n = 3 on); minus:
+    n**2 + 4 for n >= 1; chowla: 4n**2 + 1 for n >= 1 when squarefree, or
+    unchecked past 2**62, for the caller to report as out of range.
+    """
+    if family == PLUS:
+        return n * n - 4 if n >= 0 and n != 2 else None
+    if family == MINUS:
+        return n * n + 4 if n >= 1 else None
+    if family != CHOWLA:
+        raise ValueError(f"unknown family {family!r}")
+    if n < 1:
+        return None
+    delta = 4 * n * n + 1
+    return delta if delta > MAX_INPUT or decompose(delta).conductor == 1 else None
+
+
 @dataclass(frozen=True)
 class UnitGeneratedParam:
-    """Parameter (family, n) of a unit-generated order.
-
-    The plus family has discriminant n**2 - 4 (n >= 3 real, n in {0, 1}
-    imaginary); the minus family has n**2 + 4 (n >= 1).  n = 2 (plus) and
-    n = 0 (minus) do not give discriminants and are rejected.
-    """
+    """Parameter (family, n) of a unit-generated order: a plus or minus
+    family member that `family_discriminant` admits."""
 
     family: str
     n: int
@@ -105,18 +125,16 @@ class UnitGeneratedParam:
     def __post_init__(self):
         if self.family not in (PLUS, MINUS):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family == PLUS and (self.n < 0 or self.n == 2):
-            raise ValueError(f"n = {self.n} is not valid for the plus family")
-        if self.family == MINUS and self.n < 1:
-            raise ValueError(f"n = {self.n} is not valid for the minus family")
-
-    @property
-    def is_real(self) -> bool:
-        return self.family == MINUS or self.n >= 3
+        if family_discriminant(self.family, self.n) is None:
+            raise ValueError(f"n = {self.n} is not valid for the {self.family} family")
 
     @property
     def delta(self) -> int:
-        return self.n * self.n - 4 if self.family == PLUS else self.n * self.n + 4
+        return family_discriminant(self.family, self.n)
+
+    @property
+    def is_real(self) -> bool:
+        return self.delta > 0
 
 
 def classify_unit_generated(delta: int) -> tuple[UnitGeneratedParam, ...]:
@@ -124,14 +142,10 @@ def classify_unit_generated(delta: int) -> tuple[UnitGeneratedParam, ...]:
     if not is_discriminant(delta):
         raise ValueError(f"{delta} is not a quadratic discriminant")
     found = []
-    if delta + 4 >= 0:
-        n = math.isqrt(delta + 4)
-        if n * n == delta + 4 and n != 2:
-            found.append(UnitGeneratedParam(PLUS, n))
-    if delta - 4 >= 0:
-        n = math.isqrt(delta - 4)
-        if n * n == delta - 4 and n >= 1:
-            found.append(UnitGeneratedParam(MINUS, n))
+    for family, square in ((PLUS, delta + 4), (MINUS, delta - 4)):
+        n = math.isqrt(max(square, 0))
+        if family_discriminant(family, n) == delta:
+            found.append(UnitGeneratedParam(family, n))
     return tuple(found)
 
 

@@ -8,7 +8,9 @@ the `verify conductor` suite calls it once per non-maximal delta with
 h(delta0) from the range sweep of the fundamental discriminants.  Comparing
 the prediction against the class numbers of the sweep (`ugo.sweep`), which
 shares no code with the formula or with the class data, is the strongest
-inter-module consistency gate in the package.
+inter-module consistency gate in the package.  The trend stats read each
+sample's delta from `orders.family_discriminant` and skip the samples
+without a real one.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 from . import cfrac, forms
 from .intarith import MAX_INPUT, factor, kronecker_symbol
-from .orders import PLUS, UnitGeneratedParam, decompose, is_fundamental_discriminant
+from .orders import FAMILY_ORDER, decompose, family_discriminant, is_fundamental_discriminant
 
 
 @dataclass(frozen=True)
@@ -91,13 +93,12 @@ def verify_conductor_formula(delta: int) -> bool:
     return report.h_predicted == forms.class_number(delta)
 
 
-def _real_members(samples):
-    # (family, n, delta) of the real members among (family, n) samples,
-    # plus family first, each family by n.
-    for family, n in sorted(samples, key=lambda s: (s[0] != PLUS, s[1])):
-        param = UnitGeneratedParam(family, n)
-        if param.is_real:
-            yield family, n, param.delta
+def _real_members(samples) -> list[tuple[str, int, int]]:
+    # (family, n, delta) of the (family, n) samples whose family_discriminant
+    # is real, by family in scan order and then by n; the others are skipped.
+    members = [(family, n, family_discriminant(family, n)) for family, n in samples]
+    members.sort(key=lambda m: (FAMILY_ORDER[m[0]], m[1]))
+    return [m for m in members if (m[2] or 0) > 0]
 
 
 def hua_trend(samples) -> tuple[list[TrendSample], dict]:

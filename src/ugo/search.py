@@ -1,6 +1,7 @@
 """Scan harness: tabulate invariants of unit-generated orders in parallel.
 
-Work is partitioned by (family, n); each task is pure, so results are
+Work is partitioned by (family, n), and `orders.family_discriminant` gives
+each task its delta or none; each task is pure, so results are
 deterministic regardless of worker count.  Every fan-out, scan or verify
 suite, goes through one runner, `_run`, which maps in-process for one job
 and otherwise feeds a pool lazily, so a scan streams its tasks instead of
@@ -42,8 +43,9 @@ h(delta0) for its delta0, predicts h(f**2*delta0) for every f >= 2 in turn
 by `relations.predicted_class_number`, so the principal cycle of each
 delta0 is walked once, then sweeps those f**2*delta0 and compares.  Each
 non-maximal delta is f**2*delta0 for one fundamental delta0 and one f, so
-every one is checked once.  The cf suite chunks the n, and the
-group-axioms suite its list of distinct sampled delta.
+every one is checked once.  The cf suite chunks the n and checks each
+family member with a real delta, and the group-axioms suite chunks its
+list of distinct sampled delta.
 Workers return failures as (delta or n, message), and every suite reports
 the 20 smallest in ascending order, whatever the chunking.
 """
@@ -70,12 +72,10 @@ from .genus import EVEN, ODD
 from .intarith import MAX_INPUT, factor, is_discriminant
 # Unused here; perfbench/selftest.py checks that its tracer wraps this binding.
 from .intarith import spf_table  # noqa: F401
-from .orders import MINUS, PLUS, UnitGeneratedParam, decompose, classify_unit_generated
+from .orders import FAMILY_ORDER, MINUS, PLUS, UnitGeneratedParam, classify_unit_generated
+from .orders import decompose, family_discriminant
 
 log = logging.getLogger(__name__)
-
-CHOWLA = "chowla"
-FAMILY_ORDER = {PLUS: 0, MINUS: 1, CHOWLA: 2}
 
 FILTER_ALL = "all"
 FILTER_H1 = "class-number-one"
@@ -209,26 +209,6 @@ class ScanResult:
     errors: list[RowError] = field(default_factory=list)
 
 
-def family_discriminant(family: str, n: int) -> int | None:
-    """The discriminant scanned at (family, n), or None when none exists.
-
-    The chowla family ranges over squarefree 4n**2+1 only.
-    """
-    if family in (PLUS, MINUS):
-        try:
-            return UnitGeneratedParam(family, n).delta
-        except ValueError:  # n = 2 (plus) or n < 1 (minus)
-            return None
-    if family != CHOWLA:
-        raise ValueError(f"unknown family {family!r}")
-    if n < 1:
-        return None
-    delta = 4 * n * n + 1
-    if delta > MAX_INPUT:
-        return delta  # range error reported downstream
-    return delta if decompose(delta).conductor == 1 else None
-
-
 def _invariants(cd: _ClassData, eps: cfrac.QuadUnit | None) -> dict:
     # The invariants a scan row and an inspect report share, keyed by TableRow
     # field, and every cross-check of the class data; eps is None if delta < 0.
@@ -342,21 +322,35 @@ def classify_maximal(config: ScanConfig) -> list[TableRow]:
 # -- checkpointed file output ---------------------------------------------
 
 
-def _read_journal(path: str) -> dict:
-    out: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            if key == "config":
-                out["config"] = value
-            elif key in ("tasks", "bytes", "rows"):
-                if not value.isdecimal():
-                    raise CheckpointError(f"checkpoint line {line!r} is not a count; remove it")
-                out[key] = int(value)
-    if not {"tasks", "bytes", "rows"} <= out.keys():
+def _read_journal(path: str) -> dict | None:
+    # The journal at path, or None if there is none yet.  Either way the path
+    # must take a rewrite, so a bad one fails before any task runs.
+    out: dict | None = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, _, value = line.partition("=")
+                if key == "config":
+                    out["config"] = value
+                elif key in ("tasks", "bytes", "rows"):
+                    if not value.isdecimal():
+                        raise CheckpointError(f"checkpoint line {line!r} is not a count; remove it")
+                    out[key] = int(value)
+    except FileNotFoundError:
+        out = None
+    except UnicodeDecodeError:
+        raise CheckpointError(f"checkpoint {path} is not UTF-8 text; remove it") from None
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
+    try:
+        open(path + ".tmp", "w").close()
+        os.remove(path + ".tmp")
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc.strerror}") from exc
+    if out is not None and not {"tasks", "bytes", "rows"} <= out.keys():
         raise CheckpointError("checkpoint lacks its tasks, bytes or rows line; remove it")
     return out
 
@@ -376,23 +370,17 @@ def scan_to_file(config: ScanConfig) -> ScanResult:
     """Scan and write delimited output, checkpointing as it goes."""
     if not config.output:
         raise ValueError("scan_to_file requires an output path")
-    done = rows_written = 0
-    resume_bytes = None
-    if config.checkpoint_path and os.path.exists(config.checkpoint_path):
-        journal = _read_journal(config.checkpoint_path)
-        if journal.get("config") != config.fingerprint():
-            raise CheckpointError(
-                "checkpoint does not match this scan configuration; "
-                "remove it or change --checkpoint"
-            )
-        done = journal["tasks"]
-        resume_bytes = journal["bytes"]
-        rows_written = journal["rows"]
-
-    resuming = resume_bytes is not None and os.path.exists(config.output)
-    if not resuming:
-        done = rows_written = 0
-    elif os.path.getsize(config.output) < resume_bytes:
+    journal = _read_journal(config.checkpoint_path) if config.checkpoint_path else None
+    if journal is not None and journal.get("config") != config.fingerprint():
+        raise CheckpointError(
+            "checkpoint does not match this scan configuration; "
+            "remove it or change --checkpoint"
+        )
+    resuming = journal is not None and os.path.exists(config.output)
+    done, resume_bytes, rows_written = (
+        (journal["tasks"], journal["bytes"], journal["rows"]) if resuming else (0, 0, 0)
+    )
+    if resuming and os.path.getsize(config.output) < resume_bytes:
         raise CheckpointError("checkpoint is ahead of the output file; remove both")
     try:
         out = open(config.output, "r+" if resuming else "w", encoding="utf-8", newline="\n")
@@ -509,7 +497,9 @@ def _cf_chunk(ns: range):
     checked = 0
     failures = []
     for n in ns:
-        for family in (PLUS, MINUS) if n >= 3 else (MINUS,):
+        for family in (PLUS, MINUS):
+            if (family_discriminant(family, n) or 0) <= 0:
+                continue  # no real delta
             checked += 1
             if not cfrac.verify_parametric_cf(UnitGeneratedParam(family, n)):
                 failures.append((n, f"{family}-family expansion mismatch at n={n}"))

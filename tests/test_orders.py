@@ -9,6 +9,7 @@ from ugo.orders import (
     UnitGeneratedParam,
     classify_unit_generated,
     decompose,
+    family_discriminant,
     fundamental_radicand,
     generating_unit,
     is_discriminant,
@@ -63,6 +64,39 @@ def test_unit_generated_discriminant():
         UnitGeneratedParam("minus", 0)
     with pytest.raises(ValueError):
         UnitGeneratedParam("both", 3)
+
+
+def _squarefree(m):
+    return all(m % (p * p) for p in range(2, math.isqrt(m) + 1))
+
+
+def test_family_discriminant_table():
+    # The closed forms: n**2 - 4 (n >= 0) and n**2 + 4 (n >= 1) where that is
+    # a discriminant, and 4n**2 + 1 (n >= 1) where it is squarefree.  The
+    # parameter records admit exactly the n that get a discriminant.
+    ns = range(-3, 41)
+    for n in ns:
+        want = {
+            "plus": n * n - 4 if n >= 0 and is_discriminant(n * n - 4) else None,
+            "minus": n * n + 4 if n >= 1 and is_discriminant(n * n + 4) else None,
+            "chowla": 4 * n * n + 1 if n >= 1 and _squarefree(4 * n * n + 1) else None,
+        }
+        for family, delta in want.items():
+            assert family_discriminant(family, n) == delta, (family, n)
+        for family in ("plus", "minus"):
+            if want[family] is None:
+                with pytest.raises(ValueError):
+                    UnitGeneratedParam(family, n)
+            else:
+                p = UnitGeneratedParam(family, n)
+                assert p.delta == want[family]
+                assert p.is_real == (family == "minus" or n >= 3), (family, n)
+    assert [n for n in ns if family_discriminant("plus", n) is None] == [-3, -2, -1, 2]
+    assert [n for n in ns if family_discriminant("minus", n) is None] == [-3, -2, -1, 0]
+    no_chowla = [-3, -2, -1, 0, 9, 16, 19, 34, 35]  # 4n**2 + 1 = 325 = 5**2 * 13 at n = 9
+    assert [n for n in ns if family_discriminant("chowla", n) is None] == no_chowla
+    with pytest.raises(ValueError):
+        family_discriminant("both", 3)
 
 
 def test_classify_unit_generated():

@@ -97,6 +97,20 @@ def test_bounded_family_sorts_and_skips_imaginary_samples():
     assert summary["count"] == 4
 
 
+# Samples that give no discriminant at all: plus n = 2 and n < 0, minus n = 0.
+NO_DELTA_SAMPLES = [("plus", 2), ("minus", 0), ("plus", -1)]
+
+
+def test_stats_skip_samples_without_a_discriminant():
+    rows, summary = hua_trend(MIXED_SAMPLES + NO_DELTA_SAMPLES)
+    want = hua_trend(MIXED_SAMPLES)[0]
+    assert [(r.family, r.n, r.h) for r in rows] == [(r.family, r.n, r.h) for r in want]
+    assert summary["count"] == 4
+    rows, summary = bounded_family_statistic(5, NO_DELTA_SAMPLES + MIXED_SAMPLES)
+    assert rows == bounded_family_statistic(5, MIXED_SAMPLES)[0]
+    assert summary["count"] == 4
+
+
 def test_bounded_family_lucas_conductors():
     # Over delta0 = 5, the minus-family members with delta = 5 f**2 have
     # n in the Lucas sequence 1, 4, 11, 29, ... (brute-forced oracle).
@@ -126,14 +140,22 @@ def test_bounded_family_validation():
 
 def test_hua_trend_memory_stays_flat():
     # A sweep never returns to a delta, so the class data of one sample must
-    # not outlive the next.  One class data near delta = 10**8 takes about
-    # 1 MB; keeping all 30 would peak past 25 MB.
-    forms._class_data.cache_clear()
-    tracemalloc.start()
-    try:
-        rows, _ = hua_trend([("plus", n) for n in range(10**4, 10**4 + 30)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # not outlive the next.  With one kept at a time the sweep peaks at about
+    # 2.6 times the build of its largest class group (n = 1000, h = 108);
+    # keeping all 30 peaks past 15 times.
+    samples = [("plus", n) for n in range(1000, 1030)]
+    rows, _ = hua_trend(samples)  # fills the caches that outlive a sweep, untraced
     assert len(rows) == 30
-    assert peak < 8 * 2**20
+
+    def peak(fn, *args):
+        forms._class_data.cache_clear()
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sweep = peak(hua_trend, samples)
+    build = peak(forms._ClassData, max(rows, key=lambda r: r.h).delta)
+    assert sweep < 5 * build, (sweep, build)

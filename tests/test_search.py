@@ -521,6 +521,13 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
     old_format.write_text(
         f"# ugo scan checkpoint\n{config_line}\nbytes={len(scanned)}\nrows=3\ndone_plus=5\n"
     )
+    # Checkpoints that cannot be read or written: a directory, a journal that
+    # is not UTF-8, and a path in a missing directory.  Each fails before
+    # any task runs and before the output is created.
+    not_utf8 = tmp_path / "not-utf8.txt"
+    not_utf8.write_bytes(b"\xff\xfe" + config_line.encode() + b"\n")
+    fresh = tmp_path / "fresh.csv"
+    bad_ckpts = [str(tmp_path), str(not_utf8), str(tmp_path / "missing" / "ckpt.txt")]
     for args in (
         ("scan", "--family", "pluto", "--n-max", "5", "--out", out),
         ("scan", "--n-max", "5", "--jobs", "0", "--out", out),
@@ -530,6 +537,10 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
         ("scan", "--n-max", "5", "--checkpoint", str(no_bytes), "--out", out),
         ("scan", "--n-max", "5", "--checkpoint", str(bad_bytes), "--out", out),
         ("scan", "--n-max", "5", "--checkpoint", str(old_format), "--out", out),
+        *(
+            ("scan", "--family", "minus", "--n-max", "5", "--checkpoint", c, "--out", str(fresh))
+            for c in bad_ckpts
+        ),
         ("verify", "conductor", "--max-delta", "200", "--jobs", "-3"),
         ("verify", "conductor", "--max-delta", "200", "--jobs", "0"),
         ("verify", "conductor", "--max-delta", str(sweep.MAX_DELTA + 1)),
@@ -546,7 +557,10 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
         assert "Traceback" not in err and "error" in err, args
         if str(old_format) in args:
             assert "remove it" in err
+        if str(fresh) in args:
+            assert args[args.index("--checkpoint") + 1] in err, args
     assert not missing_ckpt.exists()
+    assert not fresh.exists()
     assert Path(out).read_bytes() == scanned
 
 
