@@ -205,11 +205,6 @@ def fundamental_unit(delta: int) -> QuadUnit:
     return QuadUnit(t, u, delta, -1 if steps & 1 else 1, log_embedding(t, u, delta))
 
 
-def regulator(delta: int) -> float:
-    """log of the fundamental unit of the order of discriminant delta."""
-    return fundamental_unit(delta).regulator
-
-
 def _unit_pow(t1: int, u1: int, delta0: int, j: int) -> tuple[int, int]:
     # Exact binary powering of (t + u*sqrt(delta0))/2 coordinates.
     rt, ru = 2, 0
@@ -232,7 +227,7 @@ def unit_index(delta0: int, delta: int) -> int:
     """
     _check_positive_discriminant(delta0)
     _check_positive_discriminant(delta)
-    if conductor_split(delta0, factor(delta0).pairs)[1] != 1:
+    if conductor_split(delta0, factor(delta0))[1] != 1:
         raise ValueError(f"{delta0} is not a fundamental discriminant")
     f = math.isqrt(delta // delta0)
     if f * f * delta0 != delta:

@@ -535,7 +535,7 @@ class _ClassData:
         elements = sorted({project(i) for i in range(self.h_plus)})
         ident = project(self.principal)
         divisors: list[int] = []  # largest first
-        for p, v in factor(len(elements)).pairs:
+        for p, v in factor(len(elements)):
             ranks = [1]
             if v > 1:
                 # x**p by square-and-multiply; squares are read off square_ids().

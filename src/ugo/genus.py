@@ -2,9 +2,12 @@
 
 The genus count mu(delta) depends only on the odd primes dividing the
 discriminant and its 2-adic congruence class (`orders._mu`, which `forms`
-also reads for its 2-rank check); the parity predicates are pure pattern
-matches on the factorization.  All of them read factor pairs: `mu` builds
-the discriminant record (`orders.decompose`), the parity predicates factor
+also reads for its 2-rank check); the genus group Cl+/(Cl+)^2 has order
+2**(mu-1), and `one_class_per_genus` tests whether Cl+ is 2-torsion.  The
+parity predicates are pure pattern matches on the factorization, and
+`theorem_parity_checks` states the parity forced on the unit-generated
+families.  `mu` and the parity predicates read factor pairs: `mu` builds the
+discriminant record (`orders.decompose`), the parity predicates factor
 delta, scan rows and `inspect` pass the pairs their class data already
 carries, and the verify suites factor each delta once.  One function,
 `_odd_parities`, reads both parity shapes, narrow and wide, in one pass.
@@ -13,7 +16,7 @@ carries, and the verify suites factor each delta once.  One function,
 from __future__ import annotations
 
 from .cfrac import _check_positive_discriminant
-from .forms import ClassGroupStructure, _class_data
+from .forms import _class_data
 from .intarith import factor
 from .orders import _mu, decompose
 
@@ -25,16 +28,6 @@ MUST_BE_EVEN = "must_be_even"
 def mu(delta: int) -> int:
     """Number of genus characters of the order of discriminant delta."""
     return _mu(delta, decompose(delta).pairs)
-
-
-def genus_group_order(delta: int) -> int:
-    """Order 2**(mu-1) of the genus group Cl+/(Cl+)^2."""
-    return 1 << (mu(delta) - 1)
-
-
-def is_two_torsion(group: ClassGroupStructure) -> bool:
-    """True iff every elementary divisor is 2 (trivial group included)."""
-    return group.is_two_torsion()
 
 
 def one_class_per_genus(delta: int) -> bool:
@@ -81,7 +74,7 @@ def narrow_parity_predicate(delta: int) -> str:
     for delta = 8.
     """
     _check_positive_discriminant(delta)
-    return ODD if _odd_parities(delta, factor(delta).pairs)[0] else EVEN
+    return ODD if _odd_parities(delta, factor(delta))[0] else EVEN
 
 
 def wide_parity_predicate(delta: int) -> str:
@@ -93,7 +86,7 @@ def wide_parity_predicate(delta: int) -> str:
     number is always one).
     """
     _check_positive_discriminant(delta)
-    return ODD if _odd_parities(delta, factor(delta).pairs)[1] else EVEN
+    return ODD if _odd_parities(delta, factor(delta))[1] else EVEN
 
 
 def theorem_parity_checks(n: int, family: str) -> str | None:

@@ -1,9 +1,10 @@
-"""Exact integer utilities: factorization, primality, multiplicative functions.
+"""Exact integer utilities: factorization, primality, Kronecker symbols.
 
 It also holds the discriminant test and the split delta = f**2 * delta0 into
 conductor and fundamental discriminant, which `cfrac` and `orders` both need.
 
-Everything here is deterministic.  Factorization combines trial division by
+Everything here is deterministic.  A factorization is the ascending tuple of
+its prime-power pairs ((p, e), ...).  `factor` combines trial division by
 the primes below 2**16, read off the one smallest-prime-factor sieve
 (`spf_table`), a strong-pseudoprime test with a witness set that is
 provably correct for the full supported input range, and Brent's cycle-finding
@@ -14,7 +15,6 @@ factors are handled).  Inputs are capped at 2**62.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,23 +32,6 @@ _TRIAL_BOUND = 1 << 16
 
 class RangeError(ValueError):
     """Input outside the supported integer range."""
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization ``sign * prod(p**e)`` with ascending primes."""
-
-    sign: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        v = self.sign
-        for p, e in self.pairs:
-            v *= p**e
-        return v
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
 
 
 _spf_array: np.ndarray | None = None
@@ -160,8 +143,8 @@ def _factor_into(m: int, out: dict[int, int]) -> None:
     _factor_into(m // d, out)
 
 
-def factor(m: int) -> Factorization:
-    """Factor a positive integer m <= 2**62."""
+def factor(m: int) -> tuple[tuple[int, int], ...]:
+    """The prime-power pairs ((p, e), ...) of 1 <= m <= 2**62, ascending in p."""
     if not 1 <= m <= MAX_INPUT:
         raise RangeError(f"factor: input {m} outside [1, 2**62]")
     out: dict[int, int] = {}
@@ -180,20 +163,7 @@ def factor(m: int) -> Factorization:
                 out[m] = out.get(m, 0) + 1
             else:
                 _factor_into(m, out)
-    return Factorization(1, tuple(sorted(out.items())))
-
-
-def omega(m: int) -> int:
-    """Number of distinct primes dividing m."""
-    return len(factor(m).pairs)
-
-
-def euler_phi(f: int) -> int:
-    """Euler totient of f >= 1."""
-    result = 1
-    for p, e in factor(f).pairs:
-        result *= p ** (e - 1) * (p - 1)
-    return result
+    return tuple(sorted(out.items()))
 
 
 def rosser_schoenfeld_ell(n: int) -> float:
@@ -233,12 +203,6 @@ def kronecker_symbol(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def squarefree_decomposition(m: int) -> tuple[int, int]:
-    """Write m = s * k**2 with s squarefree; returns (s, k)."""
-    s = math.prod(p for p, e in factor(m).pairs if e % 2)
-    return s, math.isqrt(m // s)
 
 
 def is_discriminant(delta: int) -> bool:

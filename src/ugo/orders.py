@@ -70,7 +70,7 @@ def decompose(delta: int) -> OrderDescriptor:
     """Validate and factor a discriminant once, and split off its conductor."""
     if not is_discriminant(delta):
         raise ValueError(f"{delta} is not a quadratic discriminant")
-    pairs = factor(abs(delta)).pairs
+    pairs = factor(abs(delta))
     delta0, f = conductor_split(delta, pairs)
     return OrderDescriptor(delta, delta0, f, REAL if delta > 0 else IMAGINARY, pairs)
 
@@ -176,11 +176,6 @@ class RDClass:
     row: str
     m: int
     conductor_of_ug_order: int
-
-
-def fundamental_radicand(delta0: int) -> int:
-    """The squarefree D0 with delta0 = D0 or 4*D0."""
-    return _fundamental(delta0).radicand
 
 
 def _rd_matches(d0: int) -> list[RDClass]:

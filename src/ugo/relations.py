@@ -45,7 +45,7 @@ class TrendSample:
 def local_unit_group_factor(delta0: int, f: int) -> int:
     """The exact integer f * prod_{p | f} (1 - chi_delta0(p)/p)."""
     out = 1
-    for p, e in factor(f).pairs:
+    for p, e in factor(f):
         out *= p ** (e - 1) * (p - kronecker_symbol(delta0, p))
     return out
 

@@ -297,26 +297,21 @@ def iter_task_results(config: ScanConfig, done: int = 0):
     return _run(fn, islice(tasks, done, None), config.jobs, chunk)
 
 
-def iter_rows(config: ScanConfig):
-    """Yield TableRows only; row-level errors are logged and skipped."""
+def scan(config: ScanConfig) -> list[TableRow]:
+    """Run a scan fully in memory: its TableRows only, with each row-level
+    error logged and skipped."""
+    rows = []
     for _, _, r in iter_task_results(config):
-        if r is None:
-            continue
         if isinstance(r, RowError):
             log.error("row error at (%s, %d): %s", r.family, r.n, r.message)
-            continue
-        yield r
-
-
-def scan(config: ScanConfig) -> list[TableRow]:
-    """Run a scan fully in memory."""
-    return list(iter_rows(config))
+        elif r is not None:
+            rows.append(r)
+    return rows
 
 
 def classify_maximal(config: ScanConfig) -> list[TableRow]:
     """Maximal (conductor 1) unit-generated orders with class number one."""
-    cfg = replace(config, filter=FILTER_H1)
-    return [r for r in iter_rows(cfg) if r.maximal]
+    return [r for r in scan(replace(config, filter=FILTER_H1)) if r.maximal]
 
 
 # -- checkpointed file output ---------------------------------------------
@@ -370,7 +365,11 @@ def scan_to_file(config: ScanConfig) -> ScanResult:
     """Scan and write delimited output, checkpointing as it goes."""
     if not config.output:
         raise ValueError("scan_to_file requires an output path")
-    journal = _read_journal(config.checkpoint_path) if config.checkpoint_path else None
+    ckpt = config.checkpoint_path
+    if ckpt and os.path.realpath(config.output) in map(os.path.realpath, (ckpt, ckpt + ".tmp")):
+        # The journal's rewrite would replace the rows.
+        raise CheckpointError(f"checkpoint {ckpt} or its .tmp is the output file; use another path")
+    journal = _read_journal(ckpt) if ckpt else None
     if journal is not None and journal.get("config") != config.fingerprint():
         raise CheckpointError(
             "checkpoint does not match this scan configuration; "
@@ -392,7 +391,7 @@ def scan_to_file(config: ScanConfig) -> ScanResult:
     def checkpoint():
         out.flush()
         os.fsync(out.fileno())
-        _write_journal(config.checkpoint_path, config, done, out.tell(), result.rows_written)
+        _write_journal(ckpt, config, done, out.tell(), result.rows_written)
 
     try:
         if resuming:
@@ -410,9 +409,9 @@ def scan_to_file(config: ScanConfig) -> ScanResult:
             elif r is not None:
                 out.write(fmt(r) + "\n")
                 result.rows_written += 1
-            if done % _CHECKPOINT_EVERY == 0 and config.checkpoint_path:
+            if done % _CHECKPOINT_EVERY == 0 and ckpt:
                 checkpoint()
-        if config.checkpoint_path:
+        if ckpt:
             checkpoint()
     finally:
         out.close()
@@ -444,7 +443,7 @@ def _parity_chunk(candidates: range):
     h_plus, h, _ = sweep.class_numbers(deltas)
     failures = []
     for delta, hp, hw in zip(deltas, h_plus.tolist(), h.tolist()):
-        narrow_odd, wide_odd = genus._odd_parities(delta, factor(delta).pairs)
+        narrow_odd, wide_odd = genus._odd_parities(delta, factor(delta))
         if (hp % 2 == 1) != narrow_odd:
             failures.append((delta, f"narrow parity wrong at delta={delta} (h+={hp})"))
         if (hw % 2 == 1) != wide_odd:
@@ -463,7 +462,7 @@ def _genus_chunk(candidates: range):
     failures = []
     for delta, count in zip(deltas, two_torsion.tolist()):
         # |-delta| = |delta|, so the factor pairs serve both signs.
-        pairs = factor(delta).pairs
+        pairs = factor(delta)
         expected = 1 << (genus._mu(delta, pairs) - 1)
         if count != expected:
             failures.append(

@@ -18,7 +18,6 @@ from ugo.cfrac import (
     fundamental_unit,
     hj_cf_expand,
     log_embedding,
-    regulator,
     unit_index,
     unit_norm,
     verify_parametric_cf,
@@ -322,9 +321,10 @@ def test_unit_generated_units_at_62_bits(n, s):
 
 
 def test_regulator_values():
-    assert regulator(5) == pytest.approx(math.log((1 + math.sqrt(5)) / 2), rel=1e-12)
-    assert regulator(8) == pytest.approx(math.log(1 + math.sqrt(2)), rel=1e-12)
-    assert regulator(20) == pytest.approx(3 * regulator(5), rel=1e-12)
+    reg = {d: fundamental_unit(d).regulator for d in (5, 8, 20)}
+    assert reg[5] == pytest.approx(math.log((1 + math.sqrt(5)) / 2), rel=1e-12)
+    assert reg[8] == pytest.approx(math.log(1 + math.sqrt(2)), rel=1e-12)
+    assert reg[20] == pytest.approx(3 * reg[5], rel=1e-12)
 
 
 def test_regulator_large_coefficients():

@@ -8,15 +8,13 @@ from ugo.genus import (
     EVEN,
     MUST_BE_EVEN,
     ODD,
-    genus_group_order,
-    is_two_torsion,
     mu,
     narrow_parity_predicate,
     one_class_per_genus,
     theorem_parity_checks,
     wide_parity_predicate,
 )
-from ugo.intarith import omega
+from ugo.intarith import factor
 
 
 def valid_discriminants(limit, start=5):
@@ -36,15 +34,15 @@ def test_mu_examples():
 
 
 def test_genus_group_order_examples():
-    assert genus_group_order(5) == 1
-    assert genus_group_order(60) == 4
-    assert genus_group_order(68640) == 32
+    assert 1 << (mu(5) - 1) == 1
+    assert 1 << (mu(60) - 1) == 4
+    assert 1 << (mu(68640) - 1) == 32
 
 
 def test_is_two_torsion():
-    assert is_two_torsion(ClassGroupStructure(1, (), "wide"))
-    assert is_two_torsion(ClassGroupStructure(8, (2, 2, 2), "wide"))
-    assert not is_two_torsion(ClassGroupStructure(4, (4,), "narrow"))
+    assert ClassGroupStructure(1, (), "wide").is_two_torsion()
+    assert ClassGroupStructure(8, (2, 2, 2), "wide").is_two_torsion()
+    assert not ClassGroupStructure(4, (4,), "narrow").is_two_torsion()
 
 
 def test_one_class_per_genus_examples():
@@ -57,7 +55,7 @@ def test_one_class_per_genus_examples():
 def test_genus_order_equals_two_torsion_count():
     for delta in valid_discriminants(4000):
         cd = _class_data(delta)
-        assert cd.square_ids().count(cd.principal) == genus_group_order(delta), delta
+        assert cd.square_ids().count(cd.principal) == 1 << (mu(delta) - 1), delta
 
 
 def test_mu_bound():
@@ -65,7 +63,7 @@ def test_mu_bound():
         if delta != 0 and delta % 4 in (0, 1):
             if delta > 0 and math.isqrt(delta) ** 2 == delta:
                 continue
-            assert mu(delta) - 1 <= omega(abs(delta))
+            assert mu(delta) - 1 <= len(factor(abs(delta)))
 
 
 def test_narrow_parity_examples():

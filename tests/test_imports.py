@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, and
 every module it imports is the standard library, ugo or a declared
-dependency."""
+dependency.  Every public function and class is declared in the README's
+library table or used by another module."""
 
 import ast
 import os
@@ -81,3 +82,68 @@ def test_import_builds_no_table():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["True", "True", "0", "0"]
+
+
+def _public_definitions() -> dict[str, set[str]]:
+    # The public module-level functions and classes of each module.
+    return {
+        path.stem: {
+            node.name
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        }
+        for path in sorted(SRC.glob("*.py"))
+    }
+
+
+def _used_across_modules(modules) -> set[tuple[str, str]]:
+    # (module, name) for each `from .module import name` and `module.name`
+    # read in another module of the package.
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        here, aliases = set(), {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module:
+                        here.add((node.module, alias.name))
+                    elif alias.name in modules:
+                        aliases[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in aliases:
+                    here.add((aliases[node.value.id], node.attr))
+        used |= {(module, name) for module, name in here if module != path.stem}
+    return used
+
+
+def _declared_surface() -> dict[str, set[str]]:
+    # The README's library table: module in the first cell, its public
+    # names in the second.
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library layout", 1)[1]
+    declared = {}
+    for line in section.splitlines():
+        if match := re.match(r"\| `ugo\.(\w+)` \| ([^|]*)\|", line):
+            declared[match[1]] = set(re.findall(r"`(\w+)`", match[2]))
+    return declared
+
+
+def test_public_names_are_declared_or_used():
+    defined = _public_definitions()
+    used = _used_across_modules(defined)
+    declared = _declared_surface()
+    undeclared = [
+        f"{module}.{name}"
+        for module, names in defined.items()
+        for name in sorted(names)
+        if name not in declared.get(module, ()) and (module, name) not in used
+    ]
+    assert undeclared == []
+    stale = [
+        f"{module}.{name}"
+        for module, names in declared.items()
+        for name in sorted(names - defined.get(module, set()))
+    ]
+    assert stale == []

@@ -3,14 +3,13 @@ import math
 import pytest
 
 from ugo.cfrac import fundamental_unit
-from ugo.intarith import squarefree_decomposition
+from ugo.intarith import factor
 from ugo.orders import (
     RDClass,
     UnitGeneratedParam,
     classify_unit_generated,
     decompose,
     family_discriminant,
-    fundamental_radicand,
     generating_unit,
     is_discriminant,
     is_fundamental_discriminant,
@@ -177,11 +176,11 @@ def test_power_order_divisibility_containment():
 
 
 def test_fundamental_radicand():
-    assert fundamental_radicand(17) == 17
-    assert fundamental_radicand(8) == 2
-    assert fundamental_radicand(12) == 3
+    assert decompose(17).radicand == 17
+    assert decompose(8).radicand == 2
+    assert decompose(12).radicand == 3
     with pytest.raises(ValueError):
-        fundamental_radicand(20)
+        richaud_degert_classify(20)
 
 
 def test_richaud_degert_examples():
@@ -201,8 +200,7 @@ def test_richaud_degert_exhaustive_uniqueness():
     from ugo.orders import _rd_matches
 
     for d0 in range(2, 10**4 + 1):
-        s, k = squarefree_decomposition(d0)
-        if k != 1:
+        if any(e > 1 for _, e in factor(d0)):
             continue
         matches = _rd_matches(d0)
         if d0 == 5:
@@ -219,8 +217,7 @@ def test_rd_conductor_two_row_gives_unit_generated_order():
     # is unit-generated; check the discriminant identity for a range of m.
     for m in range(2, 101, 2):
         d0 = m * m + 1
-        s, k = squarefree_decomposition(d0)
-        if k != 1:
+        if any(e > 1 for _, e in factor(d0)):
             continue
         delta0 = d0 if d0 % 4 == 1 else 4 * d0
         assert d0 % 4 == 1 or d0 % 2 == 0

@@ -528,6 +528,19 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
     not_utf8.write_bytes(b"\xff\xfe" + config_line.encode() + b"\n")
     fresh = tmp_path / "fresh.csv"
     bad_ckpts = [str(tmp_path), str(not_utf8), str(tmp_path / "missing" / "ckpt.txt")]
+    # An output that the journal or its .tmp rewrite would replace: the same
+    # file named two ways, a pre-existing scan output, and the .tmp of the
+    # checkpoint.  Each is refused before the output is opened.
+    same = tmp_path / "same.csv"
+    spelled = os.path.join(str(tmp_path), ".", "same.csv")
+    tmp_out = tmp_path / "ck.tmp"
+    tmp_out.write_bytes(scanned)
+    same_path = [
+        ("scan", "--family", "minus", "--n-max", "5", "--out", str(same), "--checkpoint", spelled),
+        ("scan", "--n-max", "5", "--out", out, "--checkpoint", out),
+        ("scan", "--family", "minus", "--n-max", "5", "--out", str(tmp_out),
+         "--checkpoint", str(tmp_path / "ck")),
+    ]
     for args in (
         ("scan", "--family", "pluto", "--n-max", "5", "--out", out),
         ("scan", "--n-max", "5", "--jobs", "0", "--out", out),
@@ -541,6 +554,7 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
             ("scan", "--family", "minus", "--n-max", "5", "--checkpoint", c, "--out", str(fresh))
             for c in bad_ckpts
         ),
+        *same_path,
         ("verify", "conductor", "--max-delta", "200", "--jobs", "-3"),
         ("verify", "conductor", "--max-delta", "200", "--jobs", "0"),
         ("verify", "conductor", "--max-delta", str(sweep.MAX_DELTA + 1)),
@@ -559,9 +573,12 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
             assert "remove it" in err
         if str(fresh) in args:
             assert args[args.index("--checkpoint") + 1] in err, args
+        if args in same_path:
+            assert "is the output file" in err, args
     assert not missing_ckpt.exists()
     assert not fresh.exists()
-    assert Path(out).read_bytes() == scanned
+    assert not same.exists() and not (tmp_path / "ck").exists()
+    assert Path(out).read_bytes() == tmp_out.read_bytes() == scanned
 
 
 def test_each_module_imports_first():
@@ -721,7 +738,7 @@ def test_verify_genus_reports_smallest_failures(monkeypatch, capsys):
     wrong = [d for d in range(5, 5001) if is_discriminant(d) and d % 7 == 3]
     expected = [
         f"|Cl+[2]| != 2^(mu-1) at delta={d}: {g + 1} vs {g}"
-        for d, g in zip(wrong[:20], map(genus.genus_group_order, wrong))
+        for d, g in zip(wrong[:20], (1 << (genus.mu(d) - 1) for d in wrong))
     ]
     for jobs in (1, 2, 3):
         report = search.verify_genus(5000, jobs=jobs)
