@@ -7,9 +7,12 @@ suite, goes through one runner, `_run`, which maps in-process for one job
 and otherwise feeds a pool lazily, so a scan streams its tasks instead of
 listing them.  Tasks run in one fixed order (by family, then n), and a
 single writer emits rows in that order and keeps a small human-readable
-checkpoint journal: the count of finished tasks whose rows are flushed,
-plus the byte offset, rewritten atomically, so interrupted scans resume to
-byte-identical output.
+checkpoint journal, rewritten atomically: a fingerprint of the scan
+settings, the package version, a sha256 of the package's source and the row
+columns; the count of finished tasks whose rows are flushed; and the byte
+offset and sha256 of the flushed output.  A resume re-hashes that prefix
+before it truncates to it, so an interrupted scan resumes to byte-identical
+output, and a journal of other code or a changed prefix is refused.
 
 Filtered scans of real orders reject most tasks before any form
 enumeration.  The class-number-one and two-torsion filters first meet
@@ -52,16 +55,13 @@ the 20 smallest in ascending order, whatever the chunking.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import logging
 import math
 import os
 import random
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
-from multiprocessing import Pool
 from operator import itemgetter
 
 import numpy as np
@@ -74,8 +74,6 @@ from .intarith import MAX_INPUT, factor, is_discriminant
 from .intarith import spf_table  # noqa: F401
 from .orders import FAMILY_ORDER, MINUS, PLUS, UnitGeneratedParam, classify_unit_generated
 from .orders import decompose, family_discriminant
-
-log = logging.getLogger(__name__)
 
 FILTER_ALL = "all"
 FILTER_H1 = "class-number-one"
@@ -118,12 +116,13 @@ class ScanConfig:
         object.__setattr__(self, "families", fams)
 
     def fingerprint(self) -> str:
-        # The package version and the row columns are part of the key, so a
-        # checkpoint is never resumed by code that writes other rows.
-        key = repr(
-            (__version__, _ROW_FIELDS, self.families, self.n_min, self.n_max, self.filter, self.format)
-        )
-        return hashlib.sha256(key.encode()).hexdigest()[:16]
+        # The package version, the digest of its source and the row columns
+        # are part of the key, so a checkpoint is never resumed by other code.
+        key = repr((
+            __version__, _source_digest(), _ROW_FIELDS,
+            self.families, self.n_min, self.n_max, self.filter, self.format,
+        ))
+        return _sha256(key.encode()).hexdigest()[:16]
 
 
 class CheckpointError(ValueError):
@@ -277,7 +276,11 @@ def _run(fn, items, jobs: int, chunksize: int = 1):
     if jobs <= 1:
         yield from map(fn, items)
         return
-    with Pool(jobs) as pool:
+    # Deferred: importing the pool takes about 1 MB of RSS and 9 ms, and
+    # only a run of two or more jobs forks.
+    import multiprocessing
+
+    with multiprocessing.Pool(jobs) as pool:
         yield from pool.imap(fn, items, chunksize=chunksize)
 
 
@@ -297,13 +300,21 @@ def iter_task_results(config: ScanConfig, done: int = 0):
     return _run(fn, islice(tasks, done, None), config.jobs, chunk)
 
 
+def _log_row_error(r: RowError) -> None:
+    # Deferred: importing logging takes about 4 ms, and only a row error
+    # logs.
+    import logging
+
+    logging.getLogger(__name__).error("row error at (%s, %d): %s", r.family, r.n, r.message)
+
+
 def scan(config: ScanConfig) -> list[TableRow]:
     """Run a scan fully in memory: its TableRows only, with each row-level
     error logged and skipped."""
     rows = []
     for _, _, r in iter_task_results(config):
         if isinstance(r, RowError):
-            log.error("row error at (%s, %d): %s", r.family, r.n, r.message)
+            _log_row_error(r)
         elif r is not None:
             rows.append(r)
     return rows
@@ -317,6 +328,27 @@ def classify_maximal(config: ScanConfig) -> list[TableRow]:
 # -- checkpointed file output ---------------------------------------------
 
 
+def _sha256(data: bytes = b""):
+    # Deferred: hashlib loads OpenSSL's _hashlib, about 3.5 MB of RSS and
+    # 3 ms, and only the checkpoint path hashes.
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
+@lru_cache(maxsize=None)
+def _source_digest() -> str:
+    # The package's own *.py files in name order, each with its name and
+    # length, read once per process.
+    digest = _sha256()
+    here = os.path.dirname(__file__)
+    for name in sorted(n for n in os.listdir(here) if n.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def _read_journal(path: str) -> dict | None:
     # The journal at path, or None if there is none yet.  Either way the path
     # must take a rewrite, so a bad one fails before any task runs.
@@ -328,8 +360,8 @@ def _read_journal(path: str) -> dict | None:
                 if not line or line.startswith("#"):
                     continue
                 key, _, value = line.partition("=")
-                if key == "config":
-                    out["config"] = value
+                if key in ("config", "sha256"):
+                    out[key] = value
                 elif key in ("tasks", "bytes", "rows"):
                     if not value.isdecimal():
                         raise CheckpointError(f"checkpoint line {line!r} is not a count; remove it")
@@ -345,12 +377,12 @@ def _read_journal(path: str) -> dict | None:
         os.remove(path + ".tmp")
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc.strerror}") from exc
-    if out is not None and not {"tasks", "bytes", "rows"} <= out.keys():
-        raise CheckpointError("checkpoint lacks its tasks, bytes or rows line; remove it")
+    if out is not None and not {"tasks", "bytes", "rows", "sha256"} <= out.keys():
+        raise CheckpointError("checkpoint lacks its tasks, bytes, rows or sha256 line; remove it")
     return out
 
 
-def _write_journal(path: str, config: ScanConfig, tasks: int, nbytes: int, rows: int):
+def _write_journal(path: str, config: ScanConfig, tasks: int, nbytes: int, rows: int, sha: str):
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write("# ugo scan checkpoint\n")
@@ -358,6 +390,7 @@ def _write_journal(path: str, config: ScanConfig, tasks: int, nbytes: int, rows:
         fh.write(f"tasks={tasks}\n")
         fh.write(f"bytes={nbytes}\n")
         fh.write(f"rows={rows}\n")
+        fh.write(f"sha256={sha}\n")
     os.replace(tmp, path)
 
 
@@ -382,32 +415,50 @@ def scan_to_file(config: ScanConfig) -> ScanResult:
     if resuming and os.path.getsize(config.output) < resume_bytes:
         raise CheckpointError("checkpoint is ahead of the output file; remove both")
     try:
-        out = open(config.output, "r+" if resuming else "w", encoding="utf-8", newline="\n")
+        out = open(config.output, "r+b" if resuming else "wb")
     except OSError as exc:
         raise OutputError(f"cannot open {config.output}: {exc.strerror}") from exc
     result = ScanResult(rows_written=rows_written)
     fmt = TableRow.csv_line if config.format == "csv" else TableRow.json_line
+    # The running digest of every byte the output holds, for the journal.
+    digest = _sha256() if ckpt else None
+
+    def write(text: str):
+        data = text.encode()
+        out.write(data)
+        if digest:
+            digest.update(data)
 
     def checkpoint():
         out.flush()
         os.fsync(out.fileno())
-        _write_journal(ckpt, config, done, out.tell(), result.rows_written)
+        _write_journal(ckpt, config, done, out.tell(), result.rows_written, digest.hexdigest())
 
     try:
         if resuming:
+            # The kept prefix is hashed once, before it is truncated to.
+            left = resume_bytes
+            while left and (block := out.read(min(left, 1 << 20))):
+                digest.update(block)
+                left -= len(block)
+            if digest.hexdigest() != journal["sha256"]:
+                raise CheckpointError(
+                    f"the first {resume_bytes} bytes of {config.output} are not those "
+                    "the checkpoint recorded; remove both"
+                )
             out.truncate(resume_bytes)
             out.seek(resume_bytes)
         elif config.format == "csv":
-            out.write(CSV_HEADER + "\n")
+            write(CSV_HEADER + "\n")
         # Tasks run in one fixed order, so a count of finished tasks is the
         # whole resume point.
         for _, _, r in iter_task_results(config, done):
             done += 1
             if isinstance(r, RowError):
-                log.error("row error at (%s, %d): %s", r.family, r.n, r.message)
+                _log_row_error(r)
                 result.errors.append(r)
             elif r is not None:
-                out.write(fmt(r) + "\n")
+                write(fmt(r) + "\n")
                 result.rows_written += 1
             if done % _CHECKPOINT_EVERY == 0 and ckpt:
                 checkpoint()

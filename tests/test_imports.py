@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, and
 every module it imports is the standard library, ugo or a declared
 dependency.  Every public function and class is declared in the README's
-library table or used by another module."""
+library table or used by another module.  Each command loads only the
+libraries its code path uses."""
 
 import ast
 import os
@@ -82,6 +83,43 @@ def test_import_builds_no_table():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["True", "True", "0", "0"]
+
+
+# The libraries that only some commands need, each loaded by the code path
+# that uses it: OpenSSL's _hashlib for a checkpoint, multiprocessing for a
+# pool of two or more jobs, logging for a row error.
+_DEFERRED = ("_hashlib", "multiprocessing", "logging")
+
+
+def _loaded_by(tmp_path, *argvs) -> list[str]:
+    # The deferred libraries that `import ugo.cli` and the commands load in a
+    # fresh interpreter, beyond those loaded before `import ugo.cli`.
+    code = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import ugo.cli\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert ugo.cli.main(argv) == 0, argv\n"
+        f"print(*sorted(m for m in {_DEFERRED!r} if m in set(sys.modules) - before))"
+    )
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+def test_each_command_loads_only_the_libraries_it_uses(tmp_path):
+    scan = ["scan", "--family", "both", "--n-max", "300", "--filter", "two-torsion-wide"]
+    assert _loaded_by(tmp_path, ["inspect", "725", "--json"], [*scan, "--out", "a.csv"]) == []
+    assert _loaded_by(tmp_path, [*scan, "--out", "b.csv", "--checkpoint", "b.ckpt"]) == ["_hashlib"]
+    assert _loaded_by(tmp_path, [*scan, "--out", "c.csv", "--jobs", "2"]) == ["multiprocessing"]
 
 
 def _public_definitions() -> dict[str, set[str]]:

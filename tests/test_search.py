@@ -1,7 +1,9 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -245,9 +247,10 @@ def test_resume_rejects_config_change(tmp_path, monkeypatch, crash_scan_after_ro
 
 
 def test_resume_rejects_a_journal_of_other_code(tmp_path, monkeypatch, crash_scan_after_rows, capsys):
-    # The fingerprint keys on the package version and the row columns too,
-    # so a journal keyed on the scan settings alone is refused, by the API
-    # and by the CLI, and the output file is left as it is.
+    # The fingerprint keys on the package version, the digest of its source
+    # and the row columns too, so a journal keyed on the scan settings alone
+    # is refused, by the API and by the CLI, and the output file is left as
+    # it is.
     monkeypatch.setattr(search, "_CHECKPOINT_EVERY", 4)
     out = tmp_path / "scan.csv"
     ckpt = tmp_path / "ckpt.txt"
@@ -270,6 +273,69 @@ def test_resume_rejects_a_journal_of_other_code(tmp_path, monkeypatch, crash_sca
     monkeypatch.undo()
     monkeypatch.setattr(search, "_ROW_FIELDS", search._ROW_FIELDS[:-1])
     assert cfg.fingerprint() != fingerprint
+    monkeypatch.undo()
+    # The journal of this code, resumed by code with other source.
+    ckpt.write_text(ckpt.read_text().replace(old, fingerprint))
+    monkeypatch.setattr(search, "_source_digest", lambda: "0" * 64)
+    assert cfg.fingerprint() != fingerprint
+    assert cli.main(args) == 1
+    assert "checkpoint does not match" in capsys.readouterr().err
+    assert out.read_bytes() == written
+
+
+def test_source_digest_reads_every_module(tmp_path, monkeypatch):
+    # The digest is of the modules' names and bytes alone, and an edit to any
+    # one module changes it, so that code keys its checkpoints anew.
+    modules = sorted(Path(search.__file__).parent.glob("*.py"))
+    for path in modules:
+        shutil.copy(path, tmp_path)
+    real = search._source_digest()
+    monkeypatch.setattr(search, "__file__", str(tmp_path / "search.py"))
+    try:
+        search._source_digest.cache_clear()
+        digests = [search._source_digest()]
+        for path in sorted(tmp_path.glob("*.py")):
+            path.write_bytes(path.read_bytes() + b"\n")
+            search._source_digest.cache_clear()
+            digests.append(search._source_digest())
+    finally:
+        search._source_digest.cache_clear()
+    assert digests[0] == real
+    assert len(set(digests)) == len(modules) + 1
+
+
+def test_resume_rejects_a_changed_prefix(tmp_path, monkeypatch, crash_scan_after_rows, capsys):
+    # A row changed inside the flushed prefix is refused before the output
+    # is truncated, by the API and by the CLI, and both files are left as
+    # they are; so is a journal without its digest line.
+    monkeypatch.setattr(search, "_CHECKPOINT_EVERY", 4)
+    out = tmp_path / "scan.csv"
+    ckpt = tmp_path / "ckpt.txt"
+    cfg = ScanConfig(families=("plus",), n_min=0, n_max=60, output=str(out), checkpoint_path=str(ckpt))
+    with crash_scan_after_rows(20):
+        scan_to_file(cfg)
+    written = out.read_bytes()
+    assert written.index(b"\nplus,10,") < search._read_journal(str(ckpt))["bytes"]
+    out.write_bytes(written.replace(b"\nplus,10,", b"\nplus,99,"))
+    tampered = out.read_bytes()
+    journal = ckpt.read_text()
+    with pytest.raises(search.CheckpointError, match="remove both"):
+        scan_to_file(cfg)
+    args = ["scan", "--family", "plus", "--n-max", "60", "--out", str(out), "--checkpoint", str(ckpt)]
+    assert cli.main(args) == 1
+    assert "remove both" in capsys.readouterr().err
+    assert out.read_bytes() == tampered
+    assert ckpt.read_text() == journal
+    ckpt.write_text("".join(line for line in journal.splitlines(True) if not line.startswith("sha256=")))
+    out.write_bytes(written)
+    with pytest.raises(search.CheckpointError, match="sha256 line"):
+        scan_to_file(cfg)
+    # The untouched prefix resumes to the bytes of a scan run straight through.
+    ckpt.write_text(journal)
+    scan_to_file(cfg)
+    ref = tmp_path / "ref.csv"
+    scan_to_file(replace(cfg, output=str(ref), checkpoint_path=None))
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_scan_streams_its_tasks():
@@ -798,7 +864,7 @@ def test_chunks_of_deltas_meet_both_residues():
 def test_verify_forks_no_pool_for_one_chunk_or_none(monkeypatch):
     # No fundamental delta0 lies below 19 // 4, and only 5 below 20 // 4.
     opened = []
-    monkeypatch.setattr(search, "Pool", lambda *args, **kwargs: opened.append(args))
+    monkeypatch.setattr(multiprocessing, "Pool", lambda *args, **kwargs: opened.append(args))
     assert [search.verify_conductor(m, jobs=3).checked for m in (19, 20)] == [0, 1]
     assert opened == []
 
